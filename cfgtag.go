@@ -468,7 +468,7 @@ const (
 // on the dfa path — transition-cache hits, misses and resets.
 type BackendCounters = runtime.Counters
 
-// Backend drives any of the five execution paths through one streaming
+// Backend drives any of the six execution paths through one streaming
 // contract: Feed bytes, drain Matches, Close to flush the final byte (and,
 // for the parser and earley paths, to obtain the verdict). Not safe for
 // concurrent use.
@@ -768,7 +768,7 @@ func (e *Engine) NewPipeline(cfg PipelineConfig, deliver func(*TagBatch) error) 
 		Mem:              cfg.Limits.Mem,
 	}
 	if cfg.Metrics != nil {
-		rcfg.Hooks = cfg.Metrics.Hooks()
+		rcfg.Hooks = &runtime.Hooks{Metrics: cfg.Metrics}
 	}
 	if cfg.DeadLetter != nil {
 		dl := cfg.DeadLetter

@@ -364,7 +364,7 @@ func runPipeline(engine *cfgtag.Engine, backend string, in io.Reader, out io.Wri
 	p, err := runtime.NewPipeline(runtime.Config{
 		Shards:       opts.shards,
 		Factory:      factory,
-		Hooks:        mc.Hooks(),
+		Hooks:        &runtime.Hooks{Metrics: &mc},
 		MaxStreams:   opts.maxStreams,
 		Quarantine:   opts.quarantine,
 		BatchBytes:   opts.batchBytes,

@@ -451,7 +451,11 @@ func newSwitchboard(spec *core.Spec, bank, shop, fallback string, pcfg pipelineC
 		MaxStreams: pcfg.maxStreams,
 		Quarantine: pcfg.quarantine,
 		BatchBytes: pcfg.batchBytes,
-		Hooks:      &runtime.Hooks{VersionRetired: sink.DropVersion},
+		Hooks: &runtime.Hooks{Event: func(e runtime.Event) {
+			if e.Kind == runtime.EventVersionRetired {
+				sink.DropVersion(e.Version)
+			}
+		}},
 	}, pipeSink)
 	if err != nil {
 		return nil, err

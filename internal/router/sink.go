@@ -27,8 +27,8 @@ type sinkVersion struct {
 // (Pipeline.SwapFactory), batches keep carrying the version that tagged
 // them, and the Sink decodes each stream with that version's spec. Stage a
 // new spec with StageVersion before the swap, bind it with CommitVersion
-// after, and wire DropVersion into Hooks.VersionRetired so retired
-// versions' specs are released.
+// after, and call DropVersion from the pipeline's Hooks.Event on each
+// runtime.EventVersionRetired so retired versions' specs are released.
 type Sink struct {
 	nameProduction string
 	routes         map[string]int
@@ -146,10 +146,11 @@ func (s *Sink) AddVersion(version int, spec *core.Spec) error {
 	return nil
 }
 
-// DropVersion forgets a retired version's spec. Wire it into the
-// pipeline's Hooks.VersionRetired: the runtime retires a version only
-// after its last stream's final batch has been delivered, so no live
-// switchCore still references the dropped spec.
+// DropVersion forgets a retired version's spec. Call it from the
+// pipeline's Hooks.Event for each runtime.EventVersionRetired, passing
+// the event's Version: the runtime retires a version only after its last
+// stream's final batch has been delivered, so no live switchCore still
+// references the dropped spec.
 func (s *Sink) DropVersion(version int) {
 	s.verMu.Lock()
 	delete(s.versions, version)

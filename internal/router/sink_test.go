@@ -263,7 +263,11 @@ func TestSinkHotSwapVersions(t *testing.T) {
 	p, err := runtime.NewPipeline(runtime.Config{
 		Shards:  2,
 		Factory: runtime.TaggerFactory(specA),
-		Hooks:   &runtime.Hooks{VersionRetired: sink.DropVersion},
+		Hooks: &runtime.Hooks{Event: func(e runtime.Event) {
+			if e.Kind == runtime.EventVersionRetired {
+				sink.DropVersion(e.Version)
+			}
+		}},
 	}, ws)
 	if err != nil {
 		t.Fatal(err)

@@ -16,8 +16,6 @@ import (
 // stream of every reload.
 type aotBackend struct {
 	r       *aot.Runner
-	shard   int
-	hooks   *Hooks
 	lim     Limits
 	pending []stream.Match
 	bytes   int64
@@ -59,20 +57,14 @@ func AOTFactoryLimits(spec *core.Spec, cfg aot.Config, lim Limits) (Factory, err
 
 // AOTProgramFactory wraps an already compiled program as a Factory: the
 // platform compiles once per grammar version (charging its memory budget
-// explicitly) and mints per-stream runners from the shared tables. Each
-// mint reports the program's CompileStats through the hooks, so metrics
-// surfaces see per-tenant compile cost after every reload.
+// explicitly) and mints per-stream runners from the shared tables.
 func AOTProgramFactory(prog *aot.Program, lim Limits) Factory {
-	return func(shard int, h *Hooks) (Backend, error) {
-		h.compileStats(shard, prog.Stats())
-		b := &aotBackend{r: prog.NewRunner(), shard: shard, hooks: h, lim: lim}
+	return func(int, *Hooks) (Backend, error) {
+		b := &aotBackend{r: prog.NewRunner(), lim: lim}
 		b.r.OnMatch = func(m stream.Match) {
 			b.pending = append(b.pending, m)
 			b.matches++
-			b.hooks.match(b.shard, m)
 		}
-		b.r.OnError = func(pos int64) { b.hooks.recovery(b.shard, pos) }
-		b.r.OnCollision = func(pos int64, x, y int) { b.hooks.collision(b.shard, pos, x, y) }
 		return b, nil
 	}
 }
@@ -87,7 +79,6 @@ func (b *aotBackend) Reset() {
 func (b *aotBackend) Feed(p []byte) error {
 	n, err := b.r.Write(p)
 	b.bytes += int64(n)
-	b.hooks.bytes(b.shard, n)
 	if err == nil {
 		err = b.lim.checkPending(len(b.pending))
 	}

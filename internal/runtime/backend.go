@@ -92,187 +92,137 @@ type Counters struct {
 	CacheResets int64
 }
 
-// Hooks is the metrics surface threaded through the backends and the
-// pipeline. Nil hooks (or nil fields) cost nothing. Hook functions must be
-// safe for concurrent use when shared across pipeline shards; the
-// per-event arguments identify the source.
+// since returns the growth of c over an earlier snapshot o.
+func (c Counters) since(o Counters) Counters {
+	return Counters{
+		Bytes:       c.Bytes - o.Bytes,
+		Matches:     c.Matches - o.Matches,
+		Recoveries:  c.Recoveries - o.Recoveries,
+		Collisions:  c.Collisions - o.Collisions,
+		CacheHits:   c.CacheHits - o.CacheHits,
+		CacheMisses: c.CacheMisses - o.CacheMisses,
+		CacheResets: c.CacheResets - o.CacheResets,
+	}
+}
+
+// Hooks is the observability surface of a pipeline. Nil hooks (or nil
+// fields) cost nothing. Backends never see it: the shard folds each
+// stream's Counters growth into Metrics once per processed message, and
+// reports discrete fault-tolerance and lifecycle occurrences as Events.
 type Hooks struct {
-	// Bytes observes every chunk fed to a backend.
-	Bytes func(shard int, n int)
-	// Match observes every confirmed detection.
-	Match func(shard int, m stream.Match)
-	// Recovery observes each section 5.2 recovery event.
-	Recovery func(shard int, pos int64)
-	// Collision observes each runtime index collision.
-	Collision func(shard int, pos int64, a, b int)
-	// QueueDepth observes a shard's input queue depth at each enqueue.
-	QueueDepth func(shard int, depth int)
-	// CacheStats observes lazy-DFA transition-cache activity: each dfa
-	// backend reports the hits/misses/resets accrued since its previous
-	// report once per stream Close. Other backends never call it.
-	CacheStats func(shard int, hits, misses, resets int64)
-	// CompileStats observes ahead-of-time compile cost: each aot backend
-	// reports its shared program's synthesis report (states, classes,
-	// table bytes, compile duration) once at mint. The values describe
-	// the program, not the stream, so metric targets should treat them
-	// as gauges. Other backends never call it.
-	CompileStats func(shard int, s stream.CompileStats)
-	// PanicRecovered observes every panic the pipeline recovers; origin
-	// names the guarded call ("Feed", "Close", "Matches" or "Deliver").
-	PanicRecovered func(shard int, origin string)
-	// Quarantined observes each stream key poisoned after a backend
-	// error or panic.
-	Quarantined func(shard int, key string)
-	// Evicted observes each stream flushed by the MaxStreams idle-LRU
-	// eviction.
-	Evicted func(shard int, key string)
-	// SinkRetry observes each Deliver retry (attempt counts retries, so
-	// the first retry is 1) with the error that caused it.
-	SinkRetry func(attempt int, err error)
-	// DeadLetter observes each batch handed to Config.DeadLetter after
+	// Metrics, when set, accumulates backend counter deltas, the
+	// queue-depth high-water mark and a count of every Event.
+	Metrics *MetricCounters
+	// Event, when set, observes every Event. It must be safe for
+	// concurrent use: shards and sink workers call it from their own
+	// goroutines.
+	Event func(Event)
+}
+
+// emit reports one event to the metrics and the callback.
+func (h *Hooks) emit(e Event) {
+	if h == nil {
+		return
+	}
+	if h.Metrics != nil {
+		h.Metrics.observe(e)
+	}
+	if h.Event != nil {
+		h.Event(e)
+	}
+}
+
+// EventKind classifies an Event.
+type EventKind uint8
+
+const (
+	// EventPanic: a panic was recovered; Origin names the guarded call
+	// ("Feed", "Close", "Matches", "Counters" or "Deliver").
+	EventPanic EventKind = iota + 1
+	// EventQuarantined: Key was poisoned after a backend error or panic.
+	EventQuarantined
+	// EventEvicted: Key was flushed by the MaxStreams idle-LRU eviction.
+	EventEvicted
+	// EventSinkRetry: a Deliver of Key's batch is retried; Attempt counts
+	// retries (the first retry is 1) and Err is the failure that caused it.
+	EventSinkRetry
+	// EventDeadLetter: Key's batch went to Config.DeadLetter with Err after
 	// its Deliver attempts were exhausted.
-	DeadLetter func(key string, err error)
-	// VersionRetired observes each backend-factory version retired after a
-	// SwapFactory: the version is no longer current and its last stream's
-	// final batch has been delivered, so resources the factory closed over
-	// are safe to tear down.
-	VersionRetired func(version int)
-	// Overloaded observes each Send shed by admission control (shed mode,
-	// see Config.SendTimeout): the chunk was rejected with ErrOverloaded
-	// and nothing was enqueued.
-	Overloaded func(shard int, key string)
-	// Watchdog observes each backend call (Feed or Close) caught running
-	// past Config.FeedDeadline, exactly once per overdue call, with the
-	// elapsed time at detection.
-	Watchdog func(shard int, key, origin string, elapsed time.Duration)
-	// ResourceExhausted observes each stream ended by a resource budget
-	// (its EOS batch carries an error wrapping ErrResourceExhausted),
-	// exactly once per stream.
-	ResourceExhausted func(shard int, key string)
-	// Breaker observes sink circuit-breaker state flips: open=true when a
-	// worker's breaker trips, open=false when a half-open probe closes
-	// it. Half-open probing itself is not a flip.
-	Breaker func(worker int, open bool)
-	// BreakerShed observes each batch shed to DeadLetter while a worker's
-	// breaker is open.
-	BreakerShed func(worker int, key string)
+	EventDeadLetter
+	// EventVersionRetired: factory Version is no longer current and its
+	// last stream's final batch has been delivered, so resources the
+	// factory closed over are safe to tear down.
+	EventVersionRetired
+	// EventOverloaded: a Send of Key was shed by admission control (see
+	// Config.SendTimeout); nothing was enqueued.
+	EventOverloaded
+	// EventWatchdog: the Origin call ("Feed" or "Close") on Key ran past
+	// Config.FeedDeadline; Elapsed is the time at detection. Exactly once
+	// per overdue call.
+	EventWatchdog
+	// EventResourceExhausted: Key was ended by a resource budget (its EOS
+	// batch carries an error wrapping ErrResourceExhausted), exactly once
+	// per stream.
+	EventResourceExhausted
+	// EventBreakerOpen: sink worker Shard's circuit breaker tripped.
+	EventBreakerOpen
+	// EventBreakerClose: a half-open probe closed worker Shard's breaker.
+	EventBreakerClose
+	// EventBreakerShed: Key's batch was shed to DeadLetter while worker
+	// Shard's breaker was open.
+	EventBreakerShed
+
+	numEventKinds
+)
+
+var eventNames = [numEventKinds]string{
+	EventPanic:             "panic",
+	EventQuarantined:       "quarantined",
+	EventEvicted:           "evicted",
+	EventSinkRetry:         "sink_retry",
+	EventDeadLetter:        "dead_letter",
+	EventVersionRetired:    "version_retired",
+	EventOverloaded:        "overloaded",
+	EventWatchdog:          "watchdog",
+	EventResourceExhausted: "resource_exhausted",
+	EventBreakerOpen:       "breaker_open",
+	EventBreakerClose:      "breaker_close",
+	EventBreakerShed:       "breaker_shed",
 }
 
-func (h *Hooks) bytes(shard, n int) {
-	if h != nil && h.Bytes != nil {
-		h.Bytes(shard, n)
+// String returns the kind's stable snake_case name.
+func (k EventKind) String() string {
+	if k < numEventKinds && eventNames[k] != "" {
+		return eventNames[k]
 	}
+	return "unknown"
 }
 
-func (h *Hooks) match(shard int, m stream.Match) {
-	if h != nil && h.Match != nil {
-		h.Match(shard, m)
-	}
-}
-
-func (h *Hooks) recovery(shard int, pos int64) {
-	if h != nil && h.Recovery != nil {
-		h.Recovery(shard, pos)
-	}
-}
-
-func (h *Hooks) collision(shard int, pos int64, a, b int) {
-	if h != nil && h.Collision != nil {
-		h.Collision(shard, pos, a, b)
-	}
-}
-
-func (h *Hooks) cacheStats(shard int, hits, misses, resets int64) {
-	if h != nil && h.CacheStats != nil {
-		h.CacheStats(shard, hits, misses, resets)
-	}
-}
-
-func (h *Hooks) compileStats(shard int, s stream.CompileStats) {
-	if h != nil && h.CompileStats != nil {
-		h.CompileStats(shard, s)
-	}
-}
-
-func (h *Hooks) queueDepth(shard, depth int) {
-	if h != nil && h.QueueDepth != nil {
-		h.QueueDepth(shard, depth)
-	}
-}
-
-func (h *Hooks) panicRecovered(shard int, origin string) {
-	if h != nil && h.PanicRecovered != nil {
-		h.PanicRecovered(shard, origin)
-	}
-}
-
-func (h *Hooks) quarantined(shard int, key string) {
-	if h != nil && h.Quarantined != nil {
-		h.Quarantined(shard, key)
-	}
-}
-
-func (h *Hooks) evicted(shard int, key string) {
-	if h != nil && h.Evicted != nil {
-		h.Evicted(shard, key)
-	}
-}
-
-func (h *Hooks) sinkRetry(attempt int, err error) {
-	if h != nil && h.SinkRetry != nil {
-		h.SinkRetry(attempt, err)
-	}
-}
-
-func (h *Hooks) deadLetter(key string, err error) {
-	if h != nil && h.DeadLetter != nil {
-		h.DeadLetter(key, err)
-	}
-}
-
-func (h *Hooks) versionRetired(version int) {
-	if h != nil && h.VersionRetired != nil {
-		h.VersionRetired(version)
-	}
-}
-
-func (h *Hooks) overloaded(shard int, key string) {
-	if h != nil && h.Overloaded != nil {
-		h.Overloaded(shard, key)
-	}
-}
-
-func (h *Hooks) watchdog(shard int, key, origin string, elapsed time.Duration) {
-	if h != nil && h.Watchdog != nil {
-		h.Watchdog(shard, key, origin, elapsed)
-	}
-}
-
-func (h *Hooks) resourceExhausted(shard int, key string) {
-	if h != nil && h.ResourceExhausted != nil {
-		h.ResourceExhausted(shard, key)
-	}
-}
-
-func (h *Hooks) breaker(worker int, open bool) {
-	if h != nil && h.Breaker != nil {
-		h.Breaker(worker, open)
-	}
-}
-
-func (h *Hooks) breakerShed(worker int, key string) {
-	if h != nil && h.BreakerShed != nil {
-		h.BreakerShed(worker, key)
-	}
+// Event is one discrete pipeline occurrence. Only the fields its Kind
+// documents are set.
+type Event struct {
+	Kind EventKind
+	// Shard is the shard the event happened on; for breaker events, the
+	// sink worker.
+	Shard   int
+	Key     string
+	Origin  string
+	Err     error
+	Version int
+	Elapsed time.Duration
+	Attempt int
 }
 
 // Factory creates one Backend per stream. shard identifies the pipeline
-// shard the backend will live on (0 for standalone use) and is forwarded
-// to the hooks; h may be nil.
+// shard the backend will live on (0 for standalone use). h is the
+// pipeline's Hooks (possibly nil); the repo's backends ignore it, since
+// the shard reads their Counters instead. The parameter stays so that
+// factory wrappers written against this signature, such as the perfbench
+// harness's tracing wrapper, keep compiling.
 type Factory func(shard int, h *Hooks) (Backend, error)
 
-// MetricCounters is a ready-made atomic Hooks target: plug Observe into a
-// pipeline or backend and read the totals concurrently.
+// MetricCounters is the atomic Hooks.Metrics target: plug it into a
+// pipeline and read the totals concurrently. The zero value is ready.
 type MetricCounters struct {
 	bytes       atomicInt64
 	matches     atomicInt64
@@ -283,65 +233,24 @@ type MetricCounters struct {
 	cacheResets atomicInt64
 	maxQueue    atomicInt64
 
-	panics      atomicInt64
-	quarantined atomicInt64
-	evicted     atomicInt64
-	sinkRetries atomicInt64
-	deadLetters atomicInt64
-
-	shed          atomicInt64
-	watchdogTrips atomicInt64
-	resExhausted  atomicInt64
-	breakerOpens  atomicInt64
-	breakerSheds  atomicInt64
-	breakerOpen   atomicInt64 // gauge: workers currently open
-
-	// AOT synthesis-report gauges, idempotently rewritten at each backend
-	// mint (they describe the tenant's current compiled program).
-	aotStates     atomicInt64
-	aotClasses    atomicInt64
-	aotTableBytes atomicInt64
-	aotCompileNS  atomicInt64
+	events [numEventKinds]atomicInt64 // occurrences per EventKind
 }
 
-// Hooks returns a Hooks wiring every event into the counters.
-func (c *MetricCounters) Hooks() *Hooks {
-	return &Hooks{
-		Bytes:     func(_ int, n int) { c.bytes.Add(int64(n)) },
-		Match:     func(int, stream.Match) { c.matches.Add(1) },
-		Recovery:  func(int, int64) { c.recoveries.Add(1) },
-		Collision: func(int, int64, int, int) { c.collisions.Add(1) },
-		QueueDepth: func(_ int, depth int) {
-			c.maxQueue.Max(int64(depth))
-		},
-		CacheStats: func(_ int, hits, misses, resets int64) {
-			c.cacheHits.Add(hits)
-			c.cacheMisses.Add(misses)
-			c.cacheResets.Add(resets)
-		},
-		CompileStats: func(_ int, s stream.CompileStats) {
-			c.aotStates.Store(int64(s.States))
-			c.aotClasses.Store(int64(s.Classes))
-			c.aotTableBytes.Store(int64(s.TableBytes))
-			c.aotCompileNS.Store(s.Duration.Nanoseconds())
-		},
-		PanicRecovered:    func(int, string) { c.panics.Add(1) },
-		Quarantined:       func(int, string) { c.quarantined.Add(1) },
-		Evicted:           func(int, string) { c.evicted.Add(1) },
-		SinkRetry:         func(int, error) { c.sinkRetries.Add(1) },
-		DeadLetter:        func(string, error) { c.deadLetters.Add(1) },
-		Overloaded:        func(int, string) { c.shed.Add(1) },
-		Watchdog:          func(int, string, string, time.Duration) { c.watchdogTrips.Add(1) },
-		ResourceExhausted: func(int, string) { c.resExhausted.Add(1) },
-		Breaker: func(_ int, open bool) {
-			if open {
-				c.breakerOpens.Add(1)
-				c.breakerOpen.Add(1)
-			} else {
-				c.breakerOpen.Add(-1)
-			}
-		},
-		BreakerShed: func(int, string) { c.breakerSheds.Add(1) },
+// add folds one message's backend counter deltas.
+func (c *MetricCounters) add(d Counters) {
+	c.bytes.Add(d.Bytes)
+	c.matches.Add(d.Matches)
+	c.recoveries.Add(d.Recoveries)
+	c.collisions.Add(d.Collisions)
+	c.cacheHits.Add(d.CacheHits)
+	c.cacheMisses.Add(d.CacheMisses)
+	c.cacheResets.Add(d.CacheResets)
+}
+
+// observe counts one event.
+func (c *MetricCounters) observe(e Event) {
+	if e.Kind < numEventKinds {
+		c.events[e.Kind].Add(1)
 	}
 }
 
@@ -370,18 +279,22 @@ type FaultStats struct {
 
 // Faults returns the current fault-tolerance totals.
 func (c *MetricCounters) Faults() FaultStats {
+	// Closes are read before opens: a close always follows its open, so
+	// the open-worker gauge never reads negative.
+	closes := c.events[EventBreakerClose].Load()
+	opens := c.events[EventBreakerOpen].Load()
 	return FaultStats{
-		PanicsRecovered:    c.panics.Load(),
-		StreamsQuarantined: c.quarantined.Load(),
-		StreamsEvicted:     c.evicted.Load(),
-		SinkRetries:        c.sinkRetries.Load(),
-		DeadLetters:        c.deadLetters.Load(),
-		SendsShed:          c.shed.Load(),
-		WatchdogTrips:      c.watchdogTrips.Load(),
-		ResourceExhausted:  c.resExhausted.Load(),
-		BreakerOpens:       c.breakerOpens.Load(),
-		BreakerSheds:       c.breakerSheds.Load(),
-		BreakerOpenWorkers: c.breakerOpen.Load(),
+		PanicsRecovered:    c.events[EventPanic].Load(),
+		StreamsQuarantined: c.events[EventQuarantined].Load(),
+		StreamsEvicted:     c.events[EventEvicted].Load(),
+		SinkRetries:        c.events[EventSinkRetry].Load(),
+		DeadLetters:        c.events[EventDeadLetter].Load(),
+		SendsShed:          c.events[EventOverloaded].Load(),
+		WatchdogTrips:      c.events[EventWatchdog].Load(),
+		ResourceExhausted:  c.events[EventResourceExhausted].Load(),
+		BreakerOpens:       opens,
+		BreakerSheds:       c.events[EventBreakerShed].Load(),
+		BreakerOpenWorkers: opens - closes,
 	}
 }
 
@@ -399,25 +312,16 @@ func (c *MetricCounters) Snapshot() (counters Counters, maxQueueDepth int) {
 	}, int(c.maxQueue.Load())
 }
 
-// Compile returns the most recently reported AOT synthesis report: zero
-// until an aot backend is minted against these counters, then the current
-// program's states, classes, table bytes and compile duration.
-func (c *MetricCounters) Compile() stream.CompileStats {
-	return stream.CompileStats{
-		States:     int(c.aotStates.Load()),
-		Classes:    int(c.aotClasses.Load()),
-		TableBytes: int(c.aotTableBytes.Load()),
-		Duration:   time.Duration(c.aotCompileNS.Load()),
-	}
-}
-
-// atomicInt64 adds a monotonic Max (and a gauge Store) to the standard
-// atomic counter.
+// atomicInt64 adds a monotonic Max to the standard atomic counter, and
+// skips zero adds so idle counters cost no shared cache-line writes.
 type atomicInt64 struct{ v atomic.Int64 }
 
-func (a *atomicInt64) Add(n int64)   { a.v.Add(n) }
-func (a *atomicInt64) Load() int64   { return a.v.Load() }
-func (a *atomicInt64) Store(n int64) { a.v.Store(n) }
+func (a *atomicInt64) Add(n int64) {
+	if n != 0 {
+		a.v.Add(n)
+	}
+}
+func (a *atomicInt64) Load() int64 { return a.v.Load() }
 
 func (a *atomicInt64) Max(n int64) {
 	for {

@@ -1,7 +1,11 @@
 package runtime
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"cfgtag/internal/core"
@@ -188,13 +192,11 @@ func TestDFABackendRecoveryCounter(t *testing.T) {
 	}
 }
 
-// TestDFABackendCacheStats checks the cache counters surface both on the
-// backend's Counters and — as deltas at Close — through the hooks, and
-// that a tiny bound actually resets.
+// TestDFABackendCacheStats checks the cache counters surface on the
+// backend's Counters and that a tiny bound actually resets.
 func TestDFABackendCacheStats(t *testing.T) {
 	spec := compileT(t, grammar.IfThenElse(), core.Options{})
-	var mc MetricCounters
-	b, err := DFAFactory(spec, 2)(0, mc.Hooks())
+	b, err := DFAFactory(spec, 2)(0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,29 +213,157 @@ func TestDFABackendCacheStats(t *testing.T) {
 	if c.CacheResets == 0 {
 		t.Error("two-state cache never reset")
 	}
-	got, _ := mc.Snapshot()
-	if got.CacheHits != c.CacheHits || got.CacheMisses != c.CacheMisses || got.CacheResets != c.CacheResets {
-		t.Errorf("hooks saw cache (%d, %d, %d), backend counted (%d, %d, %d)",
-			got.CacheHits, got.CacheMisses, got.CacheResets,
-			c.CacheHits, c.CacheMisses, c.CacheResets)
+}
+
+// failMarker makes failingBackend's Feed fail after the inner backend
+// consumed the chunk.
+var failMarker = []byte("#FAIL#")
+
+// failingBackend exercises the pipeline's post-fault path: a chunk
+// carrying failMarker is fed through and then reported as an error.
+type failingBackend struct{ Backend }
+
+func (b *failingBackend) Feed(p []byte) error {
+	if err := b.Backend.Feed(p); err != nil {
+		return err
+	}
+	if bytes.Contains(p, failMarker) {
+		return errors.New("injected feed failure")
+	}
+	return nil
+}
+
+func (b *failingBackend) Unwrap() Backend { return b.Backend }
+
+// TestMetricsReconcileCounters runs every backend kind through a pipeline
+// and checks that the metrics the shards fold equal, at quiescence, the
+// sum of each stream's final Counters. The streams take every path that
+// ends in a fold: plain feeds, CloseStream, MaxStreams eviction, pipeline
+// Close and a failed Feed followed by its post-fault Close.
+func TestMetricsReconcileCounters(t *testing.T) {
+	plain := compileT(t, grammar.IfThenElse(), core.Options{})
+	recovering := compileT(t, grammar.IfThenElse(), core.Options{Recovery: core.RecoveryRestart})
+	sentence := "if true then go else stop"
+	// The recovering paths see corrupt bytes between sentences; the exact
+	// paths need one sentence per stream.
+	noisy := sentence + " ### " + sentence
+	must := func(f Factory, err error) Factory {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	cases := []struct {
+		name    string
+		factory Factory
+		input   string
+		// wantRecoveries and wantResets demand nonzero totals.
+		wantRecoveries, wantResets bool
+	}{
+		{"stream", TaggerFactory(recovering), noisy, true, false},
+		{"dfa", DFAFactory(recovering, 2), noisy, true, true},
+		{"aot", must(AOTFactory(recovering, 0)), noisy, true, false},
+		{"gates", must(GateFactory(plain)), sentence, false, false},
+		{"parser", must(ParserFactory(plain)), sentence, false, false},
+		{"earley", must(EarleyFactory(plain)), sentence, false, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var mu sync.Mutex
+			var backends []Backend
+			factory := func(shard int, h *Hooks) (Backend, error) {
+				b, err := tc.factory(shard, h)
+				if err != nil {
+					return nil, err
+				}
+				fb := &failingBackend{Backend: b}
+				mu.Lock()
+				backends = append(backends, fb)
+				mu.Unlock()
+				return fb, nil
+			}
+			var mc MetricCounters
+			p, err := NewPipeline(Config{
+				Shards:     2,
+				MaxStreams: 1,
+				Quarantine: -1,
+				BatchBytes: -1,
+				Factory:    factory,
+				Hooks:      &Hooks{Metrics: &mc},
+			}, SinkFunc(func(*Batch) error { return nil }))
+			if err != nil {
+				t.Fatal(err)
+			}
+			in := []byte(tc.input)
+			for i := 0; i < 12; i++ {
+				key := fmt.Sprintf("s%d", i)
+				for off := 0; off < len(in); off += 7 {
+					if err := p.Send(key, in[off:min(off+7, len(in))]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				switch i % 4 {
+				case 0: // left open: evicted by a later stream or flushed by Close
+				case 1:
+					if err := p.Send(key, failMarker); err != nil {
+						t.Fatal(err)
+					}
+				default:
+					if err := p.CloseStream(key); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := p.Close(); err != nil {
+				t.Fatal(err)
+			}
+			var want Counters
+			for _, b := range backends {
+				c := b.Counters()
+				want.Bytes += c.Bytes
+				want.Matches += c.Matches
+				want.Recoveries += c.Recoveries
+				want.Collisions += c.Collisions
+				want.CacheHits += c.CacheHits
+				want.CacheMisses += c.CacheMisses
+				want.CacheResets += c.CacheResets
+			}
+			got, _ := mc.Snapshot()
+			if got != want {
+				t.Fatalf("metrics %+v, want the streams' summed Counters %+v", got, want)
+			}
+			if got.Bytes == 0 || got.Matches == 0 {
+				t.Errorf("no traffic counted: %+v", got)
+			}
+			if tc.wantRecoveries && got.Recoveries == 0 {
+				t.Error("recovering grammar counted no recoveries")
+			}
+			if tc.wantResets && got.CacheResets == 0 {
+				t.Error("two-state cache counted no resets")
+			}
+			if f := mc.Faults(); f.StreamsEvicted == 0 {
+				t.Error("no stream took the eviction path")
+			}
+		})
 	}
 }
 
-func TestHooksObserveEvents(t *testing.T) {
-	spec := compileT(t, grammar.IfThenElse(), core.Options{})
-	var mc MetricCounters
-	b, err := TaggerFactory(spec)(3, mc.Hooks())
-	if err != nil {
-		t.Fatal(err)
+// TestEventKindNames pins the stable event names log and metric
+// renderers key on.
+func TestEventKindNames(t *testing.T) {
+	seen := map[string]bool{}
+	for k := EventPanic; k < numEventKinds; k++ {
+		name := k.String()
+		if name == "unknown" || seen[name] {
+			t.Errorf("EventKind(%d).String() = %q, want a unique name", k, name)
+		}
+		seen[name] = true
 	}
-	input := []byte("if true then go else stop")
-	b.Feed(input)
-	b.Close()
-	got, _ := mc.Snapshot()
-	if got.Bytes != int64(len(input)) {
-		t.Errorf("hooks saw %d bytes, want %d", got.Bytes, len(input))
+	if got := EventBreakerShed.String(); got != "breaker_shed" {
+		t.Errorf("EventBreakerShed = %q, want breaker_shed", got)
 	}
-	if want := b.Counters().Matches; got.Matches != want {
-		t.Errorf("hooks saw %d matches, want %d", got.Matches, want)
+	if got := EventKind(0).String(); got != "unknown" {
+		t.Errorf("EventKind(0) = %q, want unknown", got)
 	}
 }

@@ -129,7 +129,7 @@ func TestChaosPipeline(t *testing.T) {
 		Shards:      8,
 		Queue:       16,
 		Factory:     factory,
-		Hooks:       mc.Hooks(),
+		Hooks:       &runtime.Hooks{Metrics: &mc},
 		Quarantine:  time.Hour, // no mid-test expiry: fault counts stay exact
 		SinkBackoff: 50 * time.Microsecond,
 		// Headroom over FailCount: a batch hit by both a panic and a fail
@@ -318,7 +318,7 @@ func TestChaosPipelineEarley(t *testing.T) {
 		Shards:       8,
 		Queue:        16,
 		Factory:      factory,
-		Hooks:        mc.Hooks(),
+		Hooks:        &runtime.Hooks{Metrics: &mc},
 		Quarantine:   time.Hour,
 		SinkBackoff:  50 * time.Microsecond,
 		SinkAttempts: 5,
@@ -451,7 +451,7 @@ func TestChaosPipelineWithEviction(t *testing.T) {
 		Shards:     4,
 		MaxStreams: 4, // far below the live population: eviction churns
 		Factory:    faultinject.Factory(runtime.TaggerFactory(spec), faultinject.Config{Triggers: true}),
-		Hooks:      mc.Hooks(),
+		Hooks:      &runtime.Hooks{Metrics: &mc},
 		Quarantine: time.Hour,
 	}, collector)
 	if err != nil {

@@ -12,17 +12,10 @@ import (
 // bitset recomputation.
 type dfaBackend struct {
 	d       *stream.DFA
-	shard   int
-	hooks   *Hooks
 	lim     Limits
 	pending []stream.Match
 	bytes   int64
 	matches int64
-
-	// Cache-stat deltas already reported to the hooks (the cache, and its
-	// lifetime counters, survive Reset by design — warm caches are the
-	// point).
-	repHits, repMisses, repResets int64
 }
 
 // DFAFactory returns a Factory producing lazy-DFA engines. The spec is
@@ -52,16 +45,13 @@ func DFAFactoryLimits(spec *core.Spec, cfg stream.DFAConfig, lim Limits) Factory
 		cfg.MemDelta = lim.Mem.Delta()
 	}
 	cache := stream.NewDFACache(spec, cfg)
-	return func(shard int, h *Hooks) (Backend, error) {
+	return func(int, *Hooks) (Backend, error) {
 		d := cache.NewDFA()
-		b := &dfaBackend{d: d, shard: shard, hooks: h, lim: lim}
+		b := &dfaBackend{d: d, lim: lim}
 		d.OnMatch = func(m stream.Match) {
 			b.pending = append(b.pending, m)
 			b.matches++
-			b.hooks.match(b.shard, m)
 		}
-		d.OnError = func(pos int64) { b.hooks.recovery(b.shard, pos) }
-		d.OnCollision = func(pos int64, x, y int) { b.hooks.collision(b.shard, pos, x, y) }
 		return b, nil
 	}
 }
@@ -76,22 +66,13 @@ func (b *dfaBackend) Reset() {
 func (b *dfaBackend) Feed(p []byte) error {
 	n, err := b.d.Write(p)
 	b.bytes += int64(n)
-	b.hooks.bytes(b.shard, n)
 	if err == nil {
 		err = b.lim.checkPending(len(b.pending))
 	}
 	return err
 }
 
-func (b *dfaBackend) Close() error {
-	err := b.d.Close()
-	hits, misses, resets := b.d.CacheStats()
-	if dh, dm, dr := hits-b.repHits, misses-b.repMisses, resets-b.repResets; dh|dm|dr != 0 {
-		b.hooks.cacheStats(b.shard, dh, dm, dr)
-		b.repHits, b.repMisses, b.repResets = hits, misses, resets
-	}
-	return err
-}
+func (b *dfaBackend) Close() error { return b.d.Close() }
 
 func (b *dfaBackend) Matches() []stream.Match {
 	out := b.pending

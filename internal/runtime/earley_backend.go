@@ -20,8 +20,6 @@ import (
 type earleyBackend struct {
 	spec    *core.Spec
 	rec     *earley.Recognizer
-	shard   int
-	hooks   *Hooks
 	lim     Limits
 	buf     []byte
 	charged int64
@@ -54,8 +52,8 @@ func EarleyFactoryLimits(spec *core.Spec, lim Limits) (Factory, error) {
 	if err != nil {
 		return nil, err
 	}
-	return func(shard int, h *Hooks) (Backend, error) {
-		return &earleyBackend{spec: spec, rec: rec, shard: shard, hooks: h, lim: lim}, nil
+	return func(int, *Hooks) (Backend, error) {
+		return &earleyBackend{spec: spec, rec: rec, lim: lim}, nil
 	}, nil
 }
 
@@ -75,7 +73,6 @@ func (b *earleyBackend) Feed(p []byte) error {
 	}
 	b.buf = append(b.buf, p...)
 	b.chargeBuf()
-	b.hooks.bytes(b.shard, len(p))
 	return nil
 }
 
@@ -138,10 +135,7 @@ func (b *earleyBackend) Close() error {
 		dedup = append(dedup, m)
 	}
 	b.pending = dedup
-	for _, m := range b.pending {
-		b.matches++
-		b.hooks.match(b.shard, m)
-	}
+	b.matches += int64(len(dedup))
 	return nil
 }
 

@@ -56,7 +56,7 @@ func sendUntilQuarantined(t *testing.T, p *Pipeline, key string) {
 func TestPipelinePanicIsolation(t *testing.T) {
 	var mc MetricCounters
 	sink := newCollectSink()
-	p, err := NewPipeline(Config{Shards: 1, Factory: fakeFactory, Hooks: mc.Hooks()}, sink)
+	p, err := NewPipeline(Config{Shards: 1, Factory: fakeFactory, Hooks: &Hooks{Metrics: &mc}}, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestPipelinePanicIsolation(t *testing.T) {
 func TestPipelineFeedErrorQuarantines(t *testing.T) {
 	var mc MetricCounters
 	sink := newCollectSink()
-	p, err := NewPipeline(Config{Shards: 1, Factory: fakeFactory, Hooks: mc.Hooks()}, sink)
+	p, err := NewPipeline(Config{Shards: 1, Factory: fakeFactory, Hooks: &Hooks{Metrics: &mc}}, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,9 +189,11 @@ func TestPipelineEviction(t *testing.T) {
 	var mc MetricCounters
 	sink := newCollectSink()
 	evicted := make(map[string]bool)
-	hooks := mc.Hooks()
-	base := hooks.Evicted
-	hooks.Evicted = func(shard int, key string) { base(shard, key); evicted[key] = true }
+	hooks := &Hooks{Metrics: &mc, Event: func(e Event) {
+		if e.Kind == EventEvicted {
+			evicted[e.Key] = true
+		}
+	}}
 	p, err := NewPipeline(Config{Shards: 1, MaxStreams: 2, Factory: TaggerFactory(spec), Hooks: hooks}, sink)
 	if err != nil {
 		t.Fatal(err)
@@ -278,7 +280,7 @@ func TestPipelineSinkRetryAbsorbsTransientFailures(t *testing.T) {
 	var mc MetricCounters
 	sink := &countingSink{failPer: 2}
 	p, err := NewPipeline(Config{
-		Shards: 1, Factory: fakeFactory, Hooks: mc.Hooks(),
+		Shards: 1, Factory: fakeFactory, Hooks: &Hooks{Metrics: &mc},
 		SinkAttempts: 3, SinkBackoff: 100 * time.Microsecond,
 	}, sink)
 	if err != nil {
@@ -310,7 +312,7 @@ func TestPipelineDeadLetterKeepsPipelineAlive(t *testing.T) {
 	var dead []string
 	alwaysFail := SinkFunc(func(*Batch) error { return errors.New("down") })
 	p, err := NewPipeline(Config{
-		Shards: 1, Factory: fakeFactory, Hooks: mc.Hooks(),
+		Shards: 1, Factory: fakeFactory, Hooks: &Hooks{Metrics: &mc},
 		SinkAttempts: 2, SinkBackoff: 100 * time.Microsecond,
 		DeadLetter: func(b *Batch, err error) {
 			if err == nil {
@@ -344,7 +346,7 @@ func TestPipelinePermanentSinkFailureFailsFast(t *testing.T) {
 	var mc MetricCounters
 	cause := errors.New("backend connection lost for good")
 	sink := SinkFunc(func(*Batch) error { return PermanentError(cause) })
-	p, err := NewPipeline(Config{Shards: 1, Factory: fakeFactory, Hooks: mc.Hooks()}, sink)
+	p, err := NewPipeline(Config{Shards: 1, Factory: fakeFactory, Hooks: &Hooks{Metrics: &mc}}, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +413,7 @@ func TestPipelineSinkPanicIsRetried(t *testing.T) {
 	})
 	p, err := NewPipeline(Config{
 		Shards: 1, Factory: fakeFactory,
-		SinkBackoff: 100 * time.Microsecond, Hooks: mc.Hooks(),
+		SinkBackoff: 100 * time.Microsecond, Hooks: &Hooks{Metrics: &mc},
 	}, sink)
 	if err != nil {
 		t.Fatal(err)
@@ -442,7 +444,7 @@ func TestPipelineFactoryErrorPath(t *testing.T) {
 	factoryErr := errors.New("factory refused")
 	factory := func(int, *Hooks) (Backend, error) { return nil, factoryErr }
 	sink := newCollectSink()
-	p, err := NewPipeline(Config{Shards: 1, Factory: factory, Hooks: mc.Hooks()}, sink)
+	p, err := NewPipeline(Config{Shards: 1, Factory: factory, Hooks: &Hooks{Metrics: &mc}}, sink)
 	if err != nil {
 		t.Fatal(err)
 	}

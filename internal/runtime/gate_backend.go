@@ -16,8 +16,6 @@ import (
 // events are visible.
 type gateBackend struct {
 	r       *hwgen.Runner
-	shard   int
-	hooks   *Hooks
 	pending []stream.Match
 	bytes   int64
 	matches int64
@@ -32,12 +30,12 @@ func GateFactory(spec *core.Spec) (Factory, error) {
 	if err != nil {
 		return nil, err
 	}
-	return func(shard int, h *Hooks) (Backend, error) {
+	return func(int, *Hooks) (Backend, error) {
 		r, err := hwgen.NewRunner(d)
 		if err != nil {
 			return nil, err
 		}
-		b := &gateBackend{r: r, shard: shard, hooks: h}
+		b := &gateBackend{r: r}
 		b.Reset()
 		return b, nil
 	}, nil
@@ -54,7 +52,6 @@ func (b *gateBackend) Reset() {
 func (b *gateBackend) emit(m stream.Match) {
 	b.pending = append(b.pending, m)
 	b.matches++
-	b.hooks.match(b.shard, m)
 }
 
 func (b *gateBackend) Feed(p []byte) error {
@@ -63,7 +60,6 @@ func (b *gateBackend) Feed(p []byte) error {
 	}
 	b.r.Feed(p, b.emit)
 	b.bytes += int64(len(p))
-	b.hooks.bytes(b.shard, len(p))
 	return nil
 }
 

@@ -63,9 +63,11 @@ func fillShard(t *testing.T, p *Pipeline, started chan struct{}) {
 func TestSendShedImmediate(t *testing.T) {
 	var mc MetricCounters
 	var shedKeys []string
-	hooks := chainHooks(mc.Hooks(), &Hooks{
-		Overloaded: func(shard int, key string) { shedKeys = append(shedKeys, key) },
-	})
+	hooks := &Hooks{Metrics: &mc, Event: func(e Event) {
+		if e.Kind == EventOverloaded {
+			shedKeys = append(shedKeys, e.Key)
+		}
+	}}
 	started, gate := make(chan struct{}, 1), make(chan struct{})
 	sink := newCollectSink()
 	p, err := NewPipeline(Config{
@@ -135,7 +137,7 @@ func TestSendShedBoundedWait(t *testing.T) {
 		BatchBytes:  -1,
 		SendTimeout: 10 * time.Second, // bounded wait, generous for CI
 		Factory:     blockingFactory(started, gate),
-		Hooks:       mc.Hooks(),
+		Hooks:       &Hooks{Metrics: &mc},
 	}, sink)
 	if err != nil {
 		t.Fatal(err)
@@ -182,12 +184,12 @@ func TestWatchdogStalledFeed(t *testing.T) {
 	var mc MetricCounters
 	var wdN atomic.Int64
 	var wdOrigin atomic.Value
-	hooks := chainHooks(mc.Hooks(), &Hooks{
-		Watchdog: func(shard int, key, origin string, elapsed time.Duration) {
+	hooks := &Hooks{Metrics: &mc, Event: func(e Event) {
+		if e.Kind == EventWatchdog {
 			wdN.Add(1)
-			wdOrigin.Store(origin)
-		},
-	})
+			wdOrigin.Store(e.Origin)
+		}
+	}}
 	sink := newCollectSink()
 	p, err := NewPipeline(Config{
 		Shards:       1,
@@ -242,15 +244,14 @@ func TestWatchdogStalledFeed(t *testing.T) {
 func TestSinkBreakerOpensAndRecovers(t *testing.T) {
 	var mc MetricCounters
 	var openN, closeN atomic.Int64
-	hooks := chainHooks(mc.Hooks(), &Hooks{
-		Breaker: func(worker int, open bool) {
-			if open {
-				openN.Add(1)
-			} else {
-				closeN.Add(1)
-			}
-		},
-	})
+	hooks := &Hooks{Metrics: &mc, Event: func(e Event) {
+		switch e.Kind {
+		case EventBreakerOpen:
+			openN.Add(1)
+		case EventBreakerClose:
+			closeN.Add(1)
+		}
+	}}
 	var down atomic.Bool
 	var mu sync.Mutex
 	delivered := make(map[string]bool)
@@ -373,9 +374,11 @@ s : s s | "x" ;
 func TestEarleyChartBudgetEndsStream(t *testing.T) {
 	var mc MetricCounters
 	var reKeys []string
-	hooks := chainHooks(mc.Hooks(), &Hooks{
-		ResourceExhausted: func(shard int, key string) { reKeys = append(reKeys, key) },
-	})
+	hooks := &Hooks{Metrics: &mc, Event: func(e Event) {
+		if e.Kind == EventResourceExhausted {
+			reKeys = append(reKeys, e.Key)
+		}
+	}}
 	spec := ambSpec(t)
 	factory, err := EarleyFactoryLimits(spec, Limits{MaxChartItems: 300})
 	if err != nil {
@@ -462,7 +465,7 @@ func assertBudgetTrip(t *testing.T, factory Factory, chunk []byte) {
 	t.Helper()
 	var mc MetricCounters
 	sink := newCollectSink()
-	p, err := NewPipeline(Config{Shards: 1, Factory: factory, Hooks: mc.Hooks()}, sink)
+	p, err := NewPipeline(Config{Shards: 1, Factory: factory, Hooks: &Hooks{Metrics: &mc}}, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -554,9 +557,11 @@ func TestQuarantineSweepBound(t *testing.T) {
 		Shards:     1,
 		Quarantine: time.Millisecond,
 		Factory:    fakeFactory,
-		Hooks: &Hooks{
-			Quarantined: func(int, string) { poisonedN.Add(1) },
-		},
+		Hooks: &Hooks{Event: func(e Event) {
+			if e.Kind == EventQuarantined {
+				poisonedN.Add(1)
+			}
+		}},
 	}, newCollectSink())
 	if err != nil {
 		t.Fatal(err)
@@ -699,21 +704,26 @@ func TestOverloadSoak(t *testing.T) {
 	var mc MetricCounters
 	var shedHookN, wdHookN, reHookN, dlHookN, brShedHookN atomic.Int64
 	var brOpenN, brCloseN, quarHookN atomic.Int64
-	hooks := chainHooks(mc.Hooks(), &Hooks{
-		Overloaded:        func(int, string) { shedHookN.Add(1) },
-		Watchdog:          func(int, string, string, time.Duration) { wdHookN.Add(1) },
-		ResourceExhausted: func(int, string) { reHookN.Add(1) },
-		DeadLetter:        func(string, error) { dlHookN.Add(1) },
-		BreakerShed:       func(int, string) { brShedHookN.Add(1) },
-		Quarantined:       func(int, string) { quarHookN.Add(1) },
-		Breaker: func(worker int, open bool) {
-			if open {
-				brOpenN.Add(1)
-			} else {
-				brCloseN.Add(1)
-			}
-		},
-	})
+	hooks := &Hooks{Metrics: &mc, Event: func(e Event) {
+		switch e.Kind {
+		case EventOverloaded:
+			shedHookN.Add(1)
+		case EventWatchdog:
+			wdHookN.Add(1)
+		case EventResourceExhausted:
+			reHookN.Add(1)
+		case EventDeadLetter:
+			dlHookN.Add(1)
+		case EventBreakerShed:
+			brShedHookN.Add(1)
+		case EventQuarantined:
+			quarHookN.Add(1)
+		case EventBreakerOpen:
+			brOpenN.Add(1)
+		case EventBreakerClose:
+			brCloseN.Add(1)
+		}
+	}}
 
 	// The sink fails every Deliver while down is set — the wedged-sink
 	// window that trips the breaker.

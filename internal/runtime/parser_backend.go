@@ -14,8 +14,6 @@ import (
 type parserBackend struct {
 	spec    *core.Spec
 	table   *parser.Table
-	shard   int
-	hooks   *Hooks
 	lim     Limits
 	buf     []byte
 	charged int64
@@ -41,8 +39,8 @@ func ParserFactoryLimits(spec *core.Spec, lim Limits) (Factory, error) {
 	if err != nil {
 		return nil, err
 	}
-	return func(shard int, h *Hooks) (Backend, error) {
-		return &parserBackend{spec: spec, table: table, shard: shard, hooks: h, lim: lim}, nil
+	return func(int, *Hooks) (Backend, error) {
+		return &parserBackend{spec: spec, table: table, lim: lim}, nil
 	}, nil
 }
 
@@ -62,7 +60,6 @@ func (b *parserBackend) Feed(p []byte) error {
 	}
 	b.buf = append(b.buf, p...)
 	b.chargeBuf()
-	b.hooks.bytes(b.shard, len(p))
 	return nil
 }
 
@@ -99,10 +96,8 @@ func (b *parserBackend) Close() error {
 			// Cannot happen for a table built from this spec; fail loud.
 			panic("runtime: parser tag with no spec instance")
 		}
-		m := stream.Match{InstanceID: in.ID, End: int64(tag.End)}
-		b.pending = append(b.pending, m)
+		b.pending = append(b.pending, stream.Match{InstanceID: in.ID, End: int64(tag.End)})
 		b.matches++
-		b.hooks.match(b.shard, m)
 	}
 	return nil
 }

@@ -54,7 +54,7 @@ var ErrResourceExhausted = errors.New("runtime: resource budget exhausted")
 // caught running past Config.FeedDeadline. Go code cannot be interrupted,
 // so the verdict lands when the call finally returns: the stream ends with
 // an error-carrying EOS batch and its key is quarantined. A call that
-// never returns is still observable through Hooks.Watchdog. Test with
+// never returns is still observable through EventWatchdog. Test with
 // errors.Is.
 var ErrBackendStalled = errors.New("runtime: backend stalled")
 
@@ -185,8 +185,8 @@ type Config struct {
 	Queue int
 	// Factory creates the per-stream Backend (required).
 	Factory Factory
-	// Hooks observes bytes, matches, recovery events, collisions, queue
-	// depths and fault-tolerance events across all shards; may be nil.
+	// Hooks observes backend counters, queue depths and fault-tolerance
+	// events across all shards; may be nil.
 	Hooks *Hooks
 	// MaxStreams caps the live streams per shard (0 = unlimited). When a
 	// new stream would push a shard past the cap, the shard's least-
@@ -241,7 +241,7 @@ type Config struct {
 	// only when SendTimeout != 0.
 	ShedHighWater int
 	// FeedDeadline arms the backend watchdog: a Feed or Close call
-	// running past this deadline fires Hooks.Watchdog, and when it
+	// running past this deadline fires EventWatchdog, and when it
 	// finally returns, its stream ends with an ErrBackendStalled EOS
 	// batch and a quarantined key. 0 disables the watchdog.
 	FeedDeadline time.Duration
@@ -277,6 +277,7 @@ type Config struct {
 // returned by subsequent Sends.
 type Pipeline struct {
 	cfg     Config
+	mc      *MetricCounters // cfg.Hooks.Metrics, nil when unset
 	sink    Sink
 	shards  []*shard
 	sinkChs []chan *sinkGroup
@@ -351,13 +352,15 @@ type sinkGroup struct {
 // in the shard's recency list (front = most recently active). rec is the
 // backend's match-buffer recycler when it supports pooled match slices.
 // ver is the factory version the stream bound at creation; it is released
-// after the stream's final batch is delivered.
+// after the stream's final batch is delivered. seen is the backend's
+// Counters as of the last fold into the pipeline metrics.
 type streamEntry struct {
-	key string
-	b   Backend
-	rec matchRecycler
-	el  *list.Element
-	ver *factoryVersion
+	key  string
+	b    Backend
+	rec  matchRecycler
+	el   *list.Element
+	ver  *factoryVersion
+	seen Counters
 }
 
 // shard owns the streams hashed to it: one Backend per live stream key,
@@ -390,7 +393,7 @@ type shard struct {
 	wdKey    string
 	wdOrigin string
 	wdStart  time.Time // zero = no call in flight
-	wdFired  bool      // Hooks.Watchdog already fired for this call
+	wdFired  bool      // EventWatchdog already fired for this call
 }
 
 // NewPipeline starts the shard, sink-worker and idle-flusher goroutines.
@@ -454,6 +457,9 @@ func NewPipeline(cfg Config, sink Sink) (*Pipeline, error) {
 	p.quarSweep = p.quarTTL / 2
 	if p.quarSweep < 50*time.Millisecond {
 		p.quarSweep = 50 * time.Millisecond
+	}
+	if cfg.Hooks != nil {
+		p.mc = cfg.Hooks.Metrics
 	}
 	p.bufs.New = func() any { return []byte(nil) }
 	p.sbPool.New = func() any { return new(shardBatch) }
@@ -559,7 +565,9 @@ func (p *Pipeline) dispatch(key string, data []byte, eos bool) error {
 	if err := s.enqueue(key, data, eos); err != nil {
 		return err
 	}
-	p.cfg.Hooks.queueDepth(s.id, len(s.in))
+	if p.mc != nil {
+		p.mc.maxQueue.Max(int64(len(s.in)))
+	}
 	return nil
 }
 
@@ -592,7 +600,7 @@ func (s *shard) admit(key string) error {
 
 // shed records one rejected Send and returns its typed error.
 func (s *shard) shed(key string) error {
-	s.p.cfg.Hooks.overloaded(s.id, key)
+	s.p.cfg.Hooks.emit(Event{Kind: EventOverloaded, Shard: s.id, Key: key})
 	return fmt.Errorf("%w: shard %d queue at high watermark (%q rejected)", ErrOverloaded, s.id, key)
 }
 
@@ -869,7 +877,7 @@ func (s *shard) poison(key string) {
 	}
 	s.quar[key] = now.Add(s.p.quarTTL)
 	s.quarMu.Unlock()
-	s.p.cfg.Hooks.quarantined(s.id, key)
+	s.p.cfg.Hooks.emit(Event{Kind: EventQuarantined, Shard: s.id, Key: key})
 }
 
 // sweepQuarantine reaps expired quarantine entries (the periodic path;
@@ -937,7 +945,7 @@ func (s *shard) run() {
 func (s *shard) guard(origin string, fn func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			s.p.cfg.Hooks.panicRecovered(s.id, origin)
+			s.p.cfg.Hooks.emit(Event{Kind: EventPanic, Shard: s.id, Origin: origin})
 			err = fmt.Errorf("%w (in %s): %v", ErrBackendPanic, origin, r)
 		}
 	}()
@@ -946,10 +954,10 @@ func (s *shard) guard(origin string, fn func() error) (err error) {
 
 // guardTimed wraps guard with the watchdog's in-flight record: while fn
 // runs, the watchdog goroutine can see how long it has been running and
-// fire Hooks.Watchdog once it is overdue. Go code cannot be interrupted,
+// fire EventWatchdog once it is overdue. Go code cannot be interrupted,
 // so a stalled call is converted into an ErrBackendStalled verdict when
 // it finally returns; a call that never returns remains observable
-// through the hook.
+// through the event.
 func (s *shard) guardTimed(key, origin string, fn func() error) error {
 	p := s.p
 	if p.feedDeadline <= 0 {
@@ -967,8 +975,8 @@ func (s *shard) guardTimed(key, origin string, fn func() error) error {
 	if elapsed > p.feedDeadline {
 		if !fired {
 			// The call outran the deadline between watchdog ticks; the
-			// hook still fires exactly once per overdue call.
-			p.cfg.Hooks.watchdog(s.id, key, origin, elapsed)
+			// event still fires exactly once per overdue call.
+			p.cfg.Hooks.emit(Event{Kind: EventWatchdog, Shard: s.id, Key: key, Origin: origin, Elapsed: elapsed})
 		}
 		if err == nil {
 			err = fmt.Errorf("%w: %s on %q took %v (deadline %v)", ErrBackendStalled, origin, key, elapsed, p.feedDeadline)
@@ -979,7 +987,7 @@ func (s *shard) guardTimed(key, origin string, fn func() error) error {
 
 // watchdog is the pipeline's stall detector: it scans every shard's
 // in-flight backend call on a fraction of FeedDeadline and fires
-// Hooks.Watchdog (once per call) when one is overdue. The verdict on the
+// EventWatchdog (once per call) when one is overdue. The verdict on the
 // stream lands in guardTimed when the call returns.
 func (p *Pipeline) watchdog() {
 	defer p.flushWG.Done()
@@ -1007,7 +1015,7 @@ func (p *Pipeline) watchdog() {
 			}
 			s.wdMu.Unlock()
 			if overdue {
-				p.cfg.Hooks.watchdog(s.id, key, origin, elapsed)
+				p.cfg.Hooks.emit(Event{Kind: EventWatchdog, Shard: s.id, Key: key, Origin: origin, Elapsed: elapsed})
 			}
 		}
 	}
@@ -1051,18 +1059,19 @@ func (s *shard) evictOldest(g *sinkGroup) {
 	if merr := s.drain(e, batch); merr != nil && batch.Err == nil {
 		batch.Err = merr
 	}
+	s.fold(e)
 	s.remove(e)
-	s.p.cfg.Hooks.evicted(s.id, e.key)
+	s.p.cfg.Hooks.emit(Event{Kind: EventEvicted, Shard: s.id, Key: e.key})
 	s.append(g, batch)
 }
 
 // append records the finished batch on the delivery group, noting
 // resource-budget verdicts on the way: every batch a shard produces goes
-// through here, so the ResourceExhausted hook fires exactly once per
+// through here, so EventResourceExhausted fires exactly once per
 // budget-tripped stream.
 func (s *shard) append(g *sinkGroup, batch *Batch) {
 	if batch.Err != nil && errors.Is(batch.Err, ErrResourceExhausted) {
-		s.p.cfg.Hooks.resourceExhausted(s.id, batch.Key)
+		s.p.cfg.Hooks.emit(Event{Kind: EventResourceExhausted, Shard: s.id, Key: batch.Key})
 	}
 	g.batches = append(g.batches, batch)
 }
@@ -1114,6 +1123,7 @@ func (s *shard) process(key string, data []byte, eos bool, g *sinkGroup) {
 		batch.ver = e.ver
 		s.drain(e, batch)
 		s.guard("Close", e.b.Close)
+		s.fold(e)
 		s.remove(e)
 		s.poison(key)
 		s.append(g, batch)
@@ -1145,7 +1155,25 @@ func (s *shard) process(key string, data []byte, eos bool, g *sinkGroup) {
 			s.poison(key)
 		}
 	}
+	s.fold(e)
 	s.append(g, batch)
+}
+
+// fold adds the stream's backend counter growth since the previous fold
+// to the pipeline metrics. The shard calls it once per processed message,
+// after the stream's last backend call for that message, so a delivered
+// batch's bytes and matches are always already counted.
+func (s *shard) fold(e *streamEntry) {
+	mc := s.p.mc
+	if mc == nil {
+		return
+	}
+	var c Counters
+	if s.guard("Counters", func() error { c = e.b.Counters(); return nil }) != nil {
+		return
+	}
+	mc.add(c.since(e.seen))
+	e.seen = c
 }
 
 // emit hands one delivery group to the sink worker owning this shard.
@@ -1219,7 +1247,7 @@ func (p *Pipeline) deliver(b *Batch, rng *rand.Rand, br *breaker) {
 	var err error
 	for attempt := 1; attempt <= p.sinkAttempts; attempt++ {
 		if attempt > 1 {
-			p.cfg.Hooks.sinkRetry(attempt-1, err)
+			p.cfg.Hooks.emit(Event{Kind: EventSinkRetry, Shard: b.Shard, Key: b.Key, Attempt: attempt - 1, Err: err})
 			time.Sleep(p.backoff(attempt-1, rng))
 		}
 		if err = p.deliverOnce(b); err == nil {
@@ -1234,7 +1262,7 @@ func (p *Pipeline) deliver(b *Batch, rng *rand.Rand, br *breaker) {
 		}
 	}
 	if p.cfg.DeadLetter != nil {
-		p.cfg.Hooks.deadLetter(b.Key, err)
+		p.cfg.Hooks.emit(Event{Kind: EventDeadLetter, Shard: b.Shard, Key: b.Key, Err: err})
 		p.cfg.DeadLetter(b, err)
 		if br != nil {
 			br.failure()
@@ -1263,7 +1291,7 @@ func (br *breaker) success() {
 	br.consec = 0
 	if br.open {
 		br.open = false
-		br.p.cfg.Hooks.breaker(br.worker, false)
+		br.p.cfg.Hooks.emit(Event{Kind: EventBreakerClose, Shard: br.worker})
 	}
 }
 
@@ -1274,7 +1302,7 @@ func (br *breaker) failure() {
 	if !br.open && br.consec >= br.p.brThreshold {
 		br.open = true
 		br.openUntil = time.Now().Add(br.p.brCooldown)
-		br.p.cfg.Hooks.breaker(br.worker, true)
+		br.p.cfg.Hooks.emit(Event{Kind: EventBreakerOpen, Shard: br.worker})
 	}
 }
 
@@ -1282,7 +1310,7 @@ func (br *breaker) failure() {
 // DeadLetter is guaranteed non-nil (Validate requires it with the
 // breaker).
 func (br *breaker) shed(b *Batch) {
-	br.p.cfg.Hooks.breakerShed(br.worker, b.Key)
+	br.p.cfg.Hooks.emit(Event{Kind: EventBreakerShed, Shard: br.worker, Key: b.Key})
 	br.p.cfg.DeadLetter(b, fmt.Errorf("%w: worker %d", ErrBreakerOpen, br.worker))
 }
 
@@ -1290,7 +1318,7 @@ func (br *breaker) shed(b *Batch) {
 func (p *Pipeline) deliverOnce(b *Batch) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			p.cfg.Hooks.panicRecovered(b.Shard, "Deliver")
+			p.cfg.Hooks.emit(Event{Kind: EventPanic, Shard: b.Shard, Origin: "Deliver"})
 			err = fmt.Errorf("%w: %v", ErrSinkPanic, r)
 		}
 	}()

@@ -393,7 +393,7 @@ func TestPipelineConcurrentSenders(t *testing.T) {
 		total += len(b.Tags)
 		return nil
 	})
-	p, err := NewPipeline(Config{Shards: 4, Queue: 8, Factory: TaggerFactory(spec), Hooks: mc.Hooks()}, sink)
+	p, err := NewPipeline(Config{Shards: 4, Queue: 8, Factory: TaggerFactory(spec), Hooks: &Hooks{Metrics: &mc}}, sink)
 	if err != nil {
 		t.Fatal(err)
 	}

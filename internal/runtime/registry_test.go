@@ -37,12 +37,12 @@ func TestRegistryRoutesTenantsIndependently(t *testing.T) {
 	r := NewRegistry()
 	defer r.Close()
 	sinkA, sinkB := newReloadSink(), newReloadSink()
-	// Caller-owned hooks chain with the registry's internal metrics.
+	// Caller-owned metrics become the registry's per-tenant metrics.
 	var mcA, mcB MetricCounters
-	if err := r.Add(Tenant{Name: "alpha", Config: Config{Shards: 2, Factory: DFAFactory(specA, 0), Hooks: mcA.Hooks()}}, sinkA); err != nil {
+	if err := r.Add(Tenant{Name: "alpha", Config: Config{Shards: 2, Factory: DFAFactory(specA, 0), Hooks: &Hooks{Metrics: &mcA}}}, sinkA); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Add(Tenant{Name: "beta", Config: Config{Shards: 1, Factory: TaggerFactory(specB), Hooks: mcB.Hooks()}}, sinkB); err != nil {
+	if err := r.Add(Tenant{Name: "beta", Config: Config{Shards: 1, Factory: TaggerFactory(specB), Hooks: &Hooks{Metrics: &mcB}}}, sinkB); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Add(Tenant{Name: "alpha", Config: Config{Factory: fakeFactory}}, sinkA); !errors.Is(err, ErrTenantExists) {
@@ -93,7 +93,7 @@ func TestRegistryRoutesTenantsIndependently(t *testing.T) {
 			t.Fatalf("beta stream %d: tags %v, want %v", i, got, wantB)
 		}
 	}
-	// Post-Close totals come from the caller-owned chained hooks.
+	// Post-Close totals come from the caller-owned metrics.
 	ca, _ = mcA.Snapshot()
 	cb, _ := mcB.Snapshot()
 	if ca.Bytes != int64(n*len(inputA)) || cb.Bytes != int64(n*len(inputB)) {

@@ -63,9 +63,12 @@ func (s *reloadSink) seen(key string) bool {
 func TestSwapFactoryBasics(t *testing.T) {
 	var retired []int
 	var retMu sync.Mutex
-	hooks := &Hooks{VersionRetired: func(v int) {
+	hooks := &Hooks{Event: func(e Event) {
+		if e.Kind != EventVersionRetired {
+			return
+		}
 		retMu.Lock()
-		retired = append(retired, v)
+		retired = append(retired, e.Version)
 		retMu.Unlock()
 	}}
 	p, err := NewPipeline(Config{Shards: 2, Factory: fakeFactory, Hooks: hooks}, SinkFunc(func(*Batch) error { return nil }))
@@ -142,9 +145,12 @@ func TestReloadSoak(t *testing.T) {
 
 	var retMu sync.Mutex
 	retired := map[int]int{}
-	hooks := &Hooks{VersionRetired: func(v int) {
+	hooks := &Hooks{Event: func(e Event) {
+		if e.Kind != EventVersionRetired {
+			return
+		}
 		retMu.Lock()
-		retired[v]++
+		retired[e.Version]++
 		retMu.Unlock()
 	}}
 	sink := newReloadSink()
@@ -352,7 +358,7 @@ func TestSharedCacheAcrossPipelineStreams(t *testing.T) {
 
 	run := func(streams int) (misses int64) {
 		var mc MetricCounters
-		p, err := NewPipeline(Config{Shards: 2, Factory: DFAFactory(spec, 0), Hooks: mc.Hooks()},
+		p, err := NewPipeline(Config{Shards: 2, Factory: DFAFactory(spec, 0), Hooks: &Hooks{Metrics: &mc}},
 			SinkFunc(func(*Batch) error { return nil }))
 		if err != nil {
 			t.Fatal(err)

@@ -9,8 +9,6 @@ import (
 // stand-in for the 1-byte-per-cycle hardware — to the Backend contract.
 type taggerBackend struct {
 	tg      *stream.Tagger
-	shard   int
-	hooks   *Hooks
 	lim     Limits
 	pending []stream.Match
 	bytes   int64
@@ -29,18 +27,15 @@ func TaggerFactory(spec *core.Spec) Factory {
 // the bound (a match bomb) with an error wrapping ErrResourceExhausted.
 func TaggerFactoryLimits(spec *core.Spec, lim Limits) Factory {
 	proto := stream.NewTagger(spec) // compile masks once
-	return func(shard int, h *Hooks) (Backend, error) {
+	return func(int, *Hooks) (Backend, error) {
 		// Clone, never hand out proto: factories run concurrently on
 		// shard goroutines and clones share only read-only masks.
 		tg := proto.Clone()
-		b := &taggerBackend{tg: tg, shard: shard, hooks: h, lim: lim}
+		b := &taggerBackend{tg: tg, lim: lim}
 		tg.OnMatch = func(m stream.Match) {
 			b.pending = append(b.pending, m)
 			b.matches++
-			b.hooks.match(b.shard, m)
 		}
-		tg.OnError = func(pos int64) { b.hooks.recovery(b.shard, pos) }
-		tg.OnCollision = func(pos int64, x, y int) { b.hooks.collision(b.shard, pos, x, y) }
 		return b, nil
 	}
 }
@@ -55,7 +50,6 @@ func (b *taggerBackend) Reset() {
 func (b *taggerBackend) Feed(p []byte) error {
 	n, err := b.tg.Write(p)
 	b.bytes += int64(n)
-	b.hooks.bytes(b.shard, n)
 	if err == nil {
 		err = b.lim.checkPending(len(b.pending))
 	}

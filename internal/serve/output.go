@@ -179,8 +179,8 @@ func (s *Server) MetricsText() string {
 			}
 		}
 		// AOT compile-cost gauges, only for Stats implementations that
-		// expose them and only once the tenant has minted an AOT backend
-		// (States is 0 until then, and stays 0 forever on non-AOT tenants).
+		// expose them and only for aot tenants (States is 0 on the other
+		// backends, which compile nothing ahead of time).
 		if cs, ok := s.stats.(interface {
 			CompileStats(string) (cfgtag.CompileStats, error)
 		}); ok {

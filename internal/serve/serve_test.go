@@ -373,7 +373,7 @@ func TestServeAOTTenantMetrics(t *testing.T) {
 			t.Errorf("metrics missing %q in:\n%s", want, text)
 		}
 	}
-	// A DFA tenant that never minted an AOT backend must not emit the
+	// A DFA tenant compiles nothing ahead of time and must not emit the
 	// compile gauges at all.
 	if strings.Contains(text, `cfgtag_aot_states{tenant="alpha"}`) {
 		t.Errorf("metrics leak aot gauges for non-aot tenant in:\n%s", text)

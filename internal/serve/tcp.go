@@ -49,6 +49,10 @@ type TCPInput struct {
 	closed bool
 	wg     sync.WaitGroup
 	rawSeq atomic.Int64
+
+	// held counts the closed mux sessions the connection pumps still
+	// hold while their final line may be in flight.
+	held atomic.Int64
 }
 
 // NewTCPInput wraps an already-listening socket.
@@ -283,6 +287,44 @@ type muxStream struct {
 	sent bool
 }
 
+// endedSessions is a mux connection's closed streams, held until their
+// final line is out. Finished sessions are swept out each time the list
+// doubles, so a long-lived connection retains only the streams still in
+// flight, not one session (and its output) per stream it ever carried.
+type endedSessions struct {
+	list    []*session
+	sweepAt int
+	held    *atomic.Int64
+}
+
+func (es *endedSessions) add(sess *session) {
+	if len(es.list) >= es.sweepAt {
+		live := es.list[:0]
+		for _, ss := range es.list {
+			select {
+			case <-ss.Done():
+			default:
+				live = append(live, ss)
+			}
+		}
+		clear(es.list[len(live):])
+		es.held.Add(int64(len(live) - len(es.list)))
+		es.list = live
+		es.sweepAt = 2*len(live) + 64
+	}
+	es.list = append(es.list, sess)
+	es.held.Add(1)
+}
+
+// wait blocks until every held session has written its final line.
+func (es *endedSessions) wait() {
+	for _, ss := range es.list {
+		<-ss.Done()
+	}
+	es.held.Add(-int64(len(es.list)))
+	es.list = nil
+}
+
 // pumpMux drives one multiplexed connection: OPEN/DATA/CLOSE frames for
 // many keyed streams, responses interleaved per batch with a "<key> "
 // prefix. On EOF every still-open stream is flushed, and the connection
@@ -290,7 +332,7 @@ type muxStream struct {
 func (t *TCPInput) pumpMux(s *Server, fr *FrameReader, cw *connWriter, tenant string) {
 	core := s.Core()
 	open := make(map[string]*muxStream)
-	var pending []*session
+	pending := endedSessions{held: &t.held}
 	for {
 		f, err := fr.ReadFrame()
 		if err != nil {
@@ -324,7 +366,7 @@ func (t *TCPInput) pumpMux(s *Server, fr *FrameReader, cw *connWriter, tenant st
 			}
 			if err := core.Send(tenant, f.Key, f.Payload); err != nil {
 				t.failStream(s, cw, tenant, f.Key, f.Key+" ", ms.sent, err)
-				pending = append(pending, ms.sess)
+				pending.add(ms.sess)
 				delete(open, f.Key)
 				continue
 			}
@@ -336,7 +378,7 @@ func (t *TCPInput) pumpMux(s *Server, fr *FrameReader, cw *connWriter, tenant st
 				continue
 			}
 			core.CloseStream(tenant, f.Key)
-			pending = append(pending, ms.sess)
+			pending.add(ms.sess)
 			delete(open, f.Key)
 		}
 	}
@@ -346,9 +388,7 @@ func (t *TCPInput) pumpMux(s *Server, fr *FrameReader, cw *connWriter, tenant st
 		if core.CloseStream(tenant, key) != nil {
 			s.EndStream(tenant, key)
 		}
-		pending = append(pending, ms.sess)
+		pending.add(ms.sess)
 	}
-	for _, sess := range pending {
-		<-sess.Done()
-	}
+	pending.wait()
 }

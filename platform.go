@@ -326,6 +326,7 @@ type platformTenant struct {
 	releases map[int]func() // per-version memory-gauge discharge, if any
 	pending  *Engine        // compiled but not yet bound to a version id
 	current  *Engine        // the newest engine (Reload target)
+	compile  CompileStats   // the current version's AOT synthesis report
 }
 
 // limits resolves the declarative limits plus the tenant's memory gauge.
@@ -346,19 +347,20 @@ func (t *TenantDef) limits(mem *MemGauge) StreamLimits {
 // charges its flattened tables the same way. The returned release
 // discharges that charge when the version retires (nil when there is
 // nothing to release), so zero-downtime reloads do not accrete gauge
-// drift.
-func buildFactory(engine *Engine, kind BackendKind, lim StreamLimits) (runtime.Factory, func(), error) {
+// drift. The returned CompileStats is the aot program's synthesis report
+// (zero on the other backends).
+func buildFactory(engine *Engine, kind BackendKind, lim StreamLimits) (runtime.Factory, func(), CompileStats, error) {
 	if kind == DFABackend && lim.Mem != nil {
 		var charged atomic.Int64
 		mem := lim.Mem
 		cfg := stream.DFAConfig{MemDelta: func(d int64) { charged.Add(d); mem.Add(d) }}
 		f := runtime.DFAFactoryLimits(engine.spec, cfg, lim)
-		return f, func() { mem.Add(-charged.Swap(0)) }, nil
+		return f, func() { mem.Add(-charged.Swap(0)) }, CompileStats{}, nil
 	}
 	if kind == AOTBackend {
 		prog, err := aot.Compile(engine.spec, aot.Config{})
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, CompileStats{}, err
 		}
 		var release func()
 		if lim.Mem != nil {
@@ -367,10 +369,10 @@ func buildFactory(engine *Engine, kind BackendKind, lim StreamLimits) (runtime.F
 			mem.Add(bytes)
 			release = func() { mem.Add(-bytes) }
 		}
-		return runtime.AOTProgramFactory(prog, lim), release, nil
+		return runtime.AOTProgramFactory(prog, lim), release, prog.Stats(), nil
 	}
 	f, err := engine.factoryLimits(kind, lim)
-	return f, nil, err
+	return f, nil, CompileStats{}, err
 }
 
 // engineFor resolves the engine for a batch's factory version. A version
@@ -460,7 +462,7 @@ func (p *Platform) addTenant(def TenantDef, deliver func(string, *TagBatch) erro
 		mem = &MemGauge{}
 	}
 	lim := def.limits(mem)
-	factory, release, err := buildFactory(engine, kind, lim)
+	factory, release, stats, err := buildFactory(engine, kind, lim)
 	if err != nil {
 		return fmt.Errorf("cfgtag: tenant %q: %w", def.Name, err)
 	}
@@ -474,6 +476,7 @@ func (p *Platform) addTenant(def TenantDef, deliver func(string, *TagBatch) erro
 		engines:  map[int]*Engine{1: engine},
 		releases: map[int]func(){1: release},
 		current:  engine,
+		compile:  stats,
 	}
 	name := def.Name
 	sink := runtime.SinkFunc(func(b *runtime.Batch) error {
@@ -495,7 +498,11 @@ func (p *Platform) addTenant(def TenantDef, deliver func(string, *TagBatch) erro
 			ShedHighWater: def.ShedHighWater,
 			FeedDeadline:  time.Duration(def.FeedDeadline),
 			Mem:           mem,
-			Hooks:         &runtime.Hooks{VersionRetired: pt.dropVersion},
+			Hooks: &runtime.Hooks{Event: func(e runtime.Event) {
+				if e.Kind == runtime.EventVersionRetired {
+					pt.dropVersion(e.Version)
+				}
+			}},
 		},
 		Quota: runtime.Quota{
 			MaxStreams:     def.Quota.MaxStreams,
@@ -573,7 +580,7 @@ func (p *Platform) Reload(tenant, grammarSrc string) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("cfgtag: tenant %q: %w", tenant, err)
 	}
-	factory, release, err := buildFactory(engine, pt.kind, pt.lim)
+	factory, release, stats, err := buildFactory(engine, pt.kind, pt.lim)
 	if err != nil {
 		return 0, fmt.Errorf("cfgtag: tenant %q: %w", tenant, err)
 	}
@@ -591,6 +598,7 @@ func (p *Platform) Reload(tenant, grammarSrc string) (int, error) {
 		pt.engines[v] = engine
 		pt.releases[v] = release
 		pt.current = engine
+		pt.compile = stats
 	}
 	pt.pending = nil
 	pt.mu.Unlock()
@@ -634,13 +642,18 @@ func (p *Platform) Faults(tenant string) (FaultStats, error) {
 	return p.reg.Faults(tenant)
 }
 
-// CompileStats reports the tenant's most recent AOT synthesis report —
-// states, byte classes, table bytes and compile duration of the current
-// program, rewritten on each Reload. Zero for tenants on other backends
-// (they compile nothing ahead of time) and for aot tenants that have not
-// minted a stream yet.
+// CompileStats reports the tenant's current AOT synthesis report —
+// states, byte classes, table bytes and compile duration of the program
+// compiled at construction, replaced by each Reload. Zero for tenants on
+// other backends (they compile nothing ahead of time).
 func (p *Platform) CompileStats(tenant string) (CompileStats, error) {
-	return p.reg.CompileStats(tenant)
+	pt, err := p.tenant(tenant)
+	if err != nil {
+		return CompileStats{}, err
+	}
+	pt.mu.RLock()
+	defer pt.mu.RUnlock()
+	return pt.compile, nil
 }
 
 // LiveStreams reports the tenant's admitted live-stream count (tracked

@@ -566,3 +566,41 @@ func TestPlatformDoubleClose(t *testing.T) {
 		t.Fatal("open stream not flushed by Close")
 	}
 }
+
+// TestPlatformCompileStatsPerVersion checks the aot synthesis report is
+// recorded when a version is built: present from construction, before
+// any stream, replaced by Reload, and zero on a non-aot tenant.
+func TestPlatformCompileStatsPerVersion(t *testing.T) {
+	pc := &PlatformConfig{Tenants: []TenantDef{
+		{Name: "ahead", Grammar: IfThenElseSource, Options: []string{"free-running-start"}, Backend: "aot", Shards: 1},
+		{Name: "lazy", Grammar: IfThenElseSource, Backend: "dfa", Shards: 1},
+	}}
+	p, err := NewPlatform(pc, newPlatformSink().deliver)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	v1, err := p.CompileStats("ahead")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v1.States == 0 || v1.TableBytes == 0 {
+		t.Fatalf("aot tenant CompileStats before any stream = %+v, want the construction-time report", v1)
+	}
+	if cs, err := p.CompileStats("lazy"); err != nil || cs != (CompileStats{}) {
+		t.Fatalf("dfa tenant CompileStats = %+v, %v; want zero", cs, err)
+	}
+	if _, err := p.Reload("ahead", XMLRPCSource); err != nil {
+		t.Fatal(err)
+	}
+	v2, err := p.CompileStats("ahead")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v2.States == 0 || v2.States == v1.States {
+		t.Fatalf("CompileStats after Reload = %+v, want the new grammar's report (v1 had %d states)", v2, v1.States)
+	}
+	if _, err := p.CompileStats("nope"); !errors.Is(err, ErrUnknownTenant) {
+		t.Fatalf("unknown tenant: %v, want ErrUnknownTenant", err)
+	}
+}
