@@ -24,9 +24,9 @@ package cfgtag
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
-	"cfgtag/internal/aot"
 	"cfgtag/internal/core"
 	"cfgtag/internal/fpga"
 	"cfgtag/internal/grammar"
@@ -424,18 +424,18 @@ func (c *CheckedTagger) StackDepth() int { return c.inner.Validator.StackDepth()
 
 // BackendKind selects one of the engine's six execution paths when they
 // are driven through the uniform Backend interface.
-type BackendKind string
+type BackendKind = runtime.Kind
 
 const (
 	// StreamBackend is the bit-parallel software tagger (the default).
-	StreamBackend BackendKind = "stream"
+	StreamBackend = runtime.KindStream
 	// DFABackend lazily compiles the bit-parallel engine into a cached
 	// DFA: hash-consed (active, pending) states with per-byte-class
 	// transition outcomes filled on demand, RE2-style. Detections are
 	// identical to StreamBackend; throughput is several times higher once
 	// the cache warms. The cache is bounded (DFAMaxStates) and resets
 	// wholesale on overflow, so memory never grows with input.
-	DFABackend BackendKind = "dfa"
+	DFABackend = runtime.KindDFA
 	// AOTBackend runs the lazy-DFA construction to closure ahead of time
 	// and executes flat precompiled transition tables: no warmup, no
 	// hash lookups, no cache resets — the software analogue of the
@@ -443,15 +443,15 @@ const (
 	// Detections are identical to StreamBackend and DFABackend. The
 	// trade is a hard compile-time state budget: a grammar that does not
 	// determinize within it fails NewBackend and must use DFABackend.
-	AOTBackend BackendKind = "aot"
+	AOTBackend = runtime.KindAOT
 	// GatesBackend is the cycle-accurate simulation of the generated
 	// netlist — the hardware reference, byte-per-cycle slow.
-	GatesBackend BackendKind = "gates"
+	GatesBackend = runtime.KindGates
 	// ParserBackend is the LL(1) predictive-parser baseline. It buffers
 	// the stream and parses at Close: one stream must be one sentence, the
 	// grammar must be LL(1), and matches appear only after a successful
 	// Close.
-	ParserBackend BackendKind = "parser"
+	ParserBackend = runtime.KindParser
 	// EarleyBackend is the exact-language oracle: a Leo-optimized Earley
 	// recognizer handling every grammar class — left and right recursion,
 	// ambiguity, ambiguous lexicons — where the FSA paths accept a
@@ -460,7 +460,7 @@ const (
 	// stream = one sentence); on ambiguous input its matches are the union
 	// over all derivations. It is the reference the precision rail
 	// (scripts/precision.sh) measures the hardware paths against.
-	EarleyBackend BackendKind = "earley"
+	EarleyBackend = runtime.KindEarley
 )
 
 // BackendCounters reports what a Backend has processed: bytes fed, matches
@@ -478,46 +478,17 @@ type Backend struct {
 	kind   BackendKind
 }
 
-func (e *Engine) factory(kind BackendKind) (runtime.Factory, error) {
-	return e.factoryLimits(kind, runtime.Limits{})
-}
-
-// factoryLimits builds the execution path's factory with per-stream
-// resource bounds baked in. The gates path has no bounded variant (it is
-// the cycle-accurate reference, never a production backend); it ignores
-// every limit but still counts toward tenant memory budgets via arenas.
-func (e *Engine) factoryLimits(kind BackendKind, lim runtime.Limits) (runtime.Factory, error) {
-	if err := lim.Validate(); err != nil {
-		return nil, err
-	}
-	switch kind {
-	case StreamBackend, "":
-		return runtime.TaggerFactoryLimits(e.spec, lim), nil
-	case DFABackend:
-		return runtime.DFAFactoryLimits(e.spec, stream.DFAConfig{}, lim), nil
-	case AOTBackend:
-		return runtime.AOTFactoryLimits(e.spec, aot.Config{}, lim)
-	case GatesBackend:
-		return runtime.GateFactory(e.spec)
-	case ParserBackend:
-		return runtime.ParserFactoryLimits(e.spec, lim)
-	case EarleyBackend:
-		return runtime.EarleyFactoryLimits(e.spec, lim)
-	default:
-		return nil, fmt.Errorf("cfgtag: unknown backend kind %q", kind)
-	}
-}
-
 // NewBackend instantiates one execution path behind the uniform contract.
 // GatesBackend generates the netlist, ParserBackend builds the LL(1) table,
 // EarleyBackend compiles the recognizer and AOTBackend determinizes the
-// grammar offline, so those can fail; StreamBackend cannot.
+// grammar offline, so those can fail; StreamBackend cannot. An unknown
+// kind fails with ErrInvalidConfig.
 func (e *Engine) NewBackend(kind BackendKind) (*Backend, error) {
-	f, err := e.factory(kind)
+	built, err := runtime.Build(kind, e.spec, runtime.BuildOptions{})
 	if err != nil {
 		return nil, err
 	}
-	b, err := f(0, nil)
+	b, err := built.Factory(0, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -741,19 +712,22 @@ type FaultStats = runtime.FaultStats
 type Pipeline struct {
 	engine *Engine
 	inner  *runtime.Pipeline
+
+	closeMu sync.Mutex
+	release func() // discharges the backend version's memory charge
 }
 
 // NewPipeline starts a sharded pipeline delivering tag batches to deliver.
 // The pipeline owns its goroutines until Close.
 func (e *Engine) NewPipeline(cfg PipelineConfig, deliver func(*TagBatch) error) (*Pipeline, error) {
-	f, err := e.factoryLimits(cfg.Backend, cfg.Limits)
+	built, err := runtime.Build(cfg.Backend, e.spec, runtime.BuildOptions{Limits: cfg.Limits})
 	if err != nil {
 		return nil, err
 	}
 	rcfg := runtime.Config{
 		Shards:           cfg.Shards,
 		Queue:            cfg.Queue,
-		Factory:          f,
+		Factory:          built.Factory,
 		MaxStreams:       cfg.MaxStreams,
 		Quarantine:       cfg.Quarantine,
 		SinkAttempts:     cfg.SinkAttempts,
@@ -779,9 +753,10 @@ func (e *Engine) NewPipeline(cfg PipelineConfig, deliver func(*TagBatch) error) 
 	})
 	p, err := runtime.NewPipeline(rcfg, sink)
 	if err != nil {
+		built.Release()
 		return nil, err
 	}
-	return &Pipeline{engine: e, inner: p}, nil
+	return &Pipeline{engine: e, inner: p, release: built.Release}, nil
 }
 
 // Send routes one chunk of the keyed stream to its shard. It blocks when
@@ -793,9 +768,16 @@ func (p *Pipeline) Send(stream string, data []byte) error { return p.inner.Send(
 // is delivered with EOS set.
 func (p *Pipeline) CloseStream(stream string) error { return p.inner.CloseStream(stream) }
 
-// Close flushes every open stream, stops the shards, and returns the first
-// deliver error.
-func (p *Pipeline) Close() error { return p.inner.Close() }
+// Close flushes every open stream, stops the shards, discharges the
+// backend's shared state (DFA cache, aot tables) from Limits.Mem, and
+// returns the first deliver error. A concurrent Close waits for the first.
+func (p *Pipeline) Close() error {
+	p.closeMu.Lock()
+	defer p.closeMu.Unlock()
+	err := p.inner.Close()
+	p.release()
+	return err
+}
 
 // Err reports the pipeline's permanent delivery failure, if any: non-nil
 // once the deliver callback returned a PermanentDeliverError or exhausted

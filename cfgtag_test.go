@@ -568,6 +568,54 @@ func TestPipelineParserBackend(t *testing.T) {
 	}
 }
 
+// TestPipelineCloseReleasesMem checks that a facade pipeline hands its
+// whole memory charge back on Close, on every execution path: stream
+// buffers and arenas per stream, and the version's shared state (the dfa
+// transition cache, the aot tables) once the last stream has ended. A
+// second Close must not discharge it again.
+func TestPipelineCloseReleasesMem(t *testing.T) {
+	engine, err := Compile("xmlrpc", XMLRPCSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	input := []byte("<methodCall> <methodName>buy</methodName> <params> </params> </methodCall>")
+	for _, kind := range []BackendKind{StreamBackend, DFABackend, AOTBackend, GatesBackend, ParserBackend, EarleyBackend} {
+		t.Run(string(kind), func(t *testing.T) {
+			g := &MemGauge{}
+			tags := 0
+			p, err := engine.NewPipeline(PipelineConfig{Backend: kind, Shards: 2, Limits: StreamLimits{Mem: g}},
+				func(b *TagBatch) error {
+					tags += len(b.Tags)
+					return b.Err
+				})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Send("s", input); err != nil {
+				t.Fatal(err)
+			}
+			if err := p.CloseStream("s"); err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if tags == 0 {
+				t.Fatal("conforming stream produced no tags")
+			}
+			if got := g.Load(); got != 0 {
+				t.Errorf("gauge after Close = %d, want 0", got)
+			}
+			if err := p.Close(); !errors.Is(err, ErrPipelineClosed) {
+				t.Errorf("second Close = %v, want ErrPipelineClosed", err)
+			}
+			if got := g.Load(); got != 0 {
+				t.Errorf("gauge after second Close = %d, want 0", got)
+			}
+		})
+	}
+}
+
 func TestPipelineFaultFacade(t *testing.T) {
 	engine, err := Compile("demo", IfThenElseSource, FreeRunningStart())
 	if err != nil {

@@ -301,35 +301,18 @@ type pipelineOptions struct {
 // results in delivery order plus the pipeline's fault counters.
 func runPipeline(engine *cfgtag.Engine, backend string, in io.Reader, out io.Writer, opts pipelineOptions) error {
 	spec := engine.Spec()
-	var factory runtime.Factory
-	switch backend {
-	case "stream", "":
-		factory = runtime.TaggerFactory(spec)
-	case "dfa":
-		factory = runtime.DFAFactory(spec, 0)
-	case "aot":
-		var err error
-		if factory, err = runtime.AOTFactory(spec, 0); err != nil {
-			return err
-		}
-	case "gates":
-		var err error
-		if factory, err = runtime.GateFactory(spec); err != nil {
-			return err
-		}
-	case "parser":
-		var err error
-		if factory, err = runtime.ParserFactory(spec); err != nil {
-			return err
-		}
-	case "earley":
-		var err error
-		if factory, err = runtime.EarleyFactory(spec); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("unknown backend kind %q", backend)
+	// The memory gauge sees every backend charge: stream buffers, charts,
+	// the dfa cache and the aot tables, besides the pipeline's arenas.
+	var mem *runtime.MemGauge
+	if opts.memBudget > 0 {
+		mem = &runtime.MemGauge{}
 	}
+	built, err := runtime.Build(runtime.Kind(backend), spec, runtime.BuildOptions{Limits: runtime.Limits{Mem: mem}})
+	if err != nil {
+		return err
+	}
+	defer built.Release()
+	factory := built.Factory
 	if opts.chaos > 0 {
 		factory = faultinject.Factory(factory, faultinject.Config{
 			Seed:      opts.chaosSeed,
@@ -357,10 +340,6 @@ func runPipeline(engine *cfgtag.Engine, backend string, in io.Reader, out io.Wri
 		}
 		return nil
 	})
-	var mem *runtime.MemGauge
-	if opts.memBudget > 0 {
-		mem = &runtime.MemGauge{}
-	}
 	p, err := runtime.NewPipeline(runtime.Config{
 		Shards:       opts.shards,
 		Factory:      factory,

@@ -236,10 +236,9 @@ type inlineCore struct {
 type inlineStream struct {
 	// mu serializes the feeding connection against a force-flush from
 	// the drain path (Close on a timed-out drain races the last Write).
-	mu    sync.Mutex
-	r     *router.Router
-	conns map[int]net.Conn
-	err   error
+	mu  sync.Mutex
+	r   *router.Router
+	fwd *forwarder
 }
 
 func newInlineCore(srv *serve.Server, tenant, bank, shop, fallback string) *inlineCore {
@@ -263,32 +262,8 @@ func (c *inlineCore) stream(key string) (*inlineStream, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &inlineStream{r: r, conns: make(map[int]net.Conn)}
-	addrs := map[int]string{0: c.bank, 1: c.shop}
-	if c.fallback != "" {
-		addrs[2] = c.fallback
-	}
-	r.OnRoute = func(port int, service string, message []byte) {
-		if st.err != nil {
-			return
-		}
-		bc, ok := st.conns[port]
-		if !ok {
-			addr, have := addrs[port]
-			if !have {
-				return // drop
-			}
-			var err error
-			if bc, err = net.Dial("tcp", addr); err != nil {
-				st.err = err
-				return
-			}
-			st.conns[port] = bc
-		}
-		if _, err := bc.Write(append(message, '\n')); err != nil {
-			st.err = err
-		}
-	}
+	st := &inlineStream{r: r, fwd: newForwarder(c.bank, c.shop, c.fallback)}
+	r.OnRoute = func(port int, _ string, message []byte) { st.fwd.send(port, message) }
 	c.streams[key] = st
 	return st, nil
 }
@@ -300,7 +275,7 @@ func (c *inlineCore) Send(_, key string, data []byte) error {
 	}
 	st.mu.Lock()
 	_, werr := st.r.Write(data)
-	ferr := st.err
+	ferr := st.fwd.err
 	st.mu.Unlock()
 	if werr == nil {
 		werr = ferr
@@ -339,13 +314,10 @@ func (st *inlineStream) close() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	err := st.r.Close()
-	for _, bc := range st.conns {
-		bc.Close()
+	if ferr := st.fwd.close(); err == nil {
+		err = ferr
 	}
-	if err != nil {
-		return err
-	}
-	return st.err
+	return err
 }
 
 // Close flushes every stream still open (the drain's force-flush path).
@@ -365,6 +337,50 @@ func (c *inlineCore) Close() error {
 	return first
 }
 
+// forwarder writes routed messages, one per line, to the back-end server
+// of their port, dialing each address on first use. Ports with no address
+// are dropped. The first dial or write error sticks: later messages are
+// dropped and close reports it. Not safe for concurrent use.
+type forwarder struct {
+	addrs map[int]string
+	conns map[int]net.Conn
+	err   error
+}
+
+func newForwarder(bank, shop, fallback string) *forwarder {
+	f := &forwarder{addrs: map[int]string{0: bank, 1: shop}, conns: make(map[int]net.Conn)}
+	if fallback != "" {
+		f.addrs[2] = fallback
+	}
+	return f
+}
+
+func (f *forwarder) send(port int, message []byte) {
+	if f.err != nil {
+		return
+	}
+	bc, ok := f.conns[port]
+	if !ok {
+		addr, have := f.addrs[port]
+		if !have {
+			return // drop
+		}
+		if bc, f.err = net.Dial("tcp", addr); f.err != nil {
+			return
+		}
+		f.conns[port] = bc
+	}
+	_, f.err = bc.Write(append(message, '\n'))
+}
+
+// close hangs up every back-end connection and reports the sticky error.
+func (f *forwarder) close() error {
+	for _, bc := range f.conns {
+		bc.Close()
+	}
+	return f.err
+}
+
 // switchboard is the sharded deployment: one pipeline shared by every
 // connection, with a router.Sink forwarding completed messages over
 // persistent back-end connections (opened lazily from the sink goroutine,
@@ -372,10 +388,7 @@ func (c *inlineCore) Close() error {
 type switchboard struct {
 	pipeline *runtime.Pipeline
 	sink     *router.Sink
-	addrs    map[int]string
-	conns    map[int]net.Conn
-	fwdErr   error
-	nextConn int64
+	fwd      *forwarder
 	reloadMu sync.Mutex // serializes grammar hot-swaps
 }
 
@@ -409,45 +422,18 @@ func newSwitchboard(spec *core.Spec, bank, shop, fallback string, pcfg pipelineC
 	if err != nil {
 		return nil, err
 	}
-	sw := &switchboard{
-		sink:  sink,
-		addrs: map[int]string{0: bank, 1: shop},
-		conns: make(map[int]net.Conn),
+	built, err := runtime.Build(runtime.KindStream, spec, runtime.BuildOptions{})
+	if err != nil {
+		return nil, err
 	}
-	if fallback != "" {
-		sw.addrs[2] = fallback
-	}
-	sink.OnRoute = func(stream string, port int, service string, message []byte) {
-		if sw.fwdErr != nil {
-			return
-		}
-		bc, ok := sw.conns[port]
-		if !ok {
-			addr, have := sw.addrs[port]
-			if !have {
-				return // drop
-			}
-			bc, err = net.Dial("tcp", addr)
-			if err != nil {
-				sw.fwdErr = err
-				return
-			}
-			sw.conns[port] = bc
-		}
-		if _, err := bc.Write(append(message, '\n')); err != nil {
-			sw.fwdErr = err
-		}
-	}
+	sw := &switchboard{sink: sink, fwd: newForwarder(bank, shop, fallback)}
+	sink.OnRoute = func(_ string, port int, _ string, message []byte) { sw.fwd.send(port, message) }
 	// The router's sink mutates shared per-service connections, so the
 	// pipeline keeps the single serialized sink worker; only batching is
 	// configurable here.
-	var pipeSink runtime.Sink = sink
-	if onEOS != nil {
-		pipeSink = eosSink{Sink: sink, onEOS: onEOS}
-	}
 	sw.pipeline, err = runtime.NewPipeline(runtime.Config{
 		Shards:     pcfg.shards,
-		Factory:    runtime.TaggerFactory(spec),
+		Factory:    built.Factory,
 		MaxStreams: pcfg.maxStreams,
 		Quarantine: pcfg.quarantine,
 		BatchBytes: pcfg.batchBytes,
@@ -456,7 +442,7 @@ func newSwitchboard(spec *core.Spec, bank, shop, fallback string, pcfg pipelineC
 				sink.DropVersion(e.Version)
 			}
 		}},
-	}, pipeSink)
+	}, eosSink{Sink: sink, onEOS: onEOS})
 	if err != nil {
 		return nil, err
 	}
@@ -471,10 +457,14 @@ func newSwitchboard(spec *core.Spec, bank, shop, fallback string, pcfg pipelineC
 func (sw *switchboard) Reload(spec *core.Spec) (int, error) {
 	sw.reloadMu.Lock()
 	defer sw.reloadMu.Unlock()
+	built, err := runtime.Build(runtime.KindStream, spec, runtime.BuildOptions{})
+	if err != nil {
+		return 0, err
+	}
 	if err := sw.sink.StageVersion(spec); err != nil {
 		return 0, err
 	}
-	v, err := sw.pipeline.SwapFactory(runtime.TaggerFactory(spec))
+	v, err := sw.pipeline.SwapFactory(built.Factory)
 	if err != nil {
 		sw.sink.CommitVersion(0)
 		return 0, err
@@ -483,96 +473,19 @@ func (sw *switchboard) Reload(spec *core.Spec) (int, error) {
 	return v, nil
 }
 
-// HandleConn pumps one connection into the pipeline as its own stream.
-func (sw *switchboard) HandleConn(c net.Conn) error {
-	key := fmt.Sprintf("conn-%d-%s", atomic.AddInt64(&sw.nextConn, 1), c.RemoteAddr())
-	buf := make([]byte, 32<<10)
-	for {
-		n, err := c.Read(buf)
-		if n > 0 {
-			if serr := sw.pipeline.Send(key, buf[:n]); serr != nil {
-				return serr
-			}
-		}
-		if err == io.EOF {
-			return sw.pipeline.CloseStream(key)
-		}
-		if err != nil {
-			sw.pipeline.CloseStream(key)
-			return err
-		}
-	}
-}
-
 // Close drains the pipeline and closes the back-end connections.
 func (sw *switchboard) Close() error {
 	err := sw.pipeline.Close()
-	for _, bc := range sw.conns {
-		bc.Close()
+	if ferr := sw.fwd.close(); err == nil {
+		err = ferr
 	}
-	if err != nil {
-		return err
-	}
-	return sw.fwdErr
+	return err
 }
 
-func routeConn(c net.Conn, bank, shop, fallback string) error {
-	addrs := map[int]string{0: bank, 1: shop}
-	if fallback != "" {
-		addrs[2] = fallback
-	}
-	conns := make(map[int]net.Conn)
-	defer func() {
-		for _, bc := range conns {
-			bc.Close()
-		}
-	}()
-	backend := func(port int) (net.Conn, error) {
-		if bc, ok := conns[port]; ok {
-			return bc, nil
-		}
-		addr, ok := addrs[port]
-		if !ok {
-			return nil, nil // drop
-		}
-		bc, err := net.Dial("tcp", addr)
-		if err != nil {
-			return nil, err
-		}
-		conns[port] = bc
-		return bc, nil
-	}
-
-	r, err := router.New(router.FigureTwelve(), 2)
-	if err != nil {
-		return err
-	}
-	var routeErr error
-	r.OnRoute = func(port int, service string, message []byte) {
-		if routeErr != nil {
-			return
-		}
-		bc, err := backend(port)
-		if err != nil || bc == nil {
-			routeErr = err
-			return
-		}
-		if _, err := bc.Write(append(message, '\n')); err != nil {
-			routeErr = err
-		}
-	}
-	if _, err := io.Copy(r, c); err != nil {
-		return err
-	}
-	if err := r.Close(); err != nil {
-		return err
-	}
-	return routeErr
-}
-
-// runDemo spins up two sink servers, routes generated traffic through a
-// TCP round trip, and prints what each sink received. With shards > 0 the
-// router side runs the sharded pipeline instead of the inline router.
+// runDemo spins up two sink servers, routes generated traffic through the
+// production listener (buildRouterServer) in a TCP round trip, drains it,
+// and prints what each sink received. With shards > 0 the router side runs
+// the sharded pipeline instead of the inline router.
 func runDemo(messages int, seed int64, pcfg pipelineConfig) error {
 	sinkCounts := [2]int64{}
 	var wg sync.WaitGroup
@@ -601,52 +514,31 @@ func runDemo(messages int, seed int64, pcfg pipelineConfig) error {
 		}()
 	}
 
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	srv, addr, err := buildRouterServer("127.0.0.1:0", sinkAddr[0], sinkAddr[1], "", pcfg)
 	if err != nil {
 		return err
 	}
-	defer ln.Close()
-	routerDone := make(chan error, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			routerDone <- err
-			return
-		}
-		defer conn.Close()
-		if pcfg.shards > 0 {
-			spec, err := xmlrpcSpec()
-			if err != nil {
-				routerDone <- err
-				return
-			}
-			sw, err := newSwitchboard(spec, sinkAddr[0], sinkAddr[1], "", pcfg, nil)
-			if err != nil {
-				routerDone <- err
-				return
-			}
-			if err := sw.HandleConn(conn); err != nil {
-				sw.Close()
-				routerDone <- err
-				return
-			}
-			routerDone <- sw.Close()
-			return
-		}
-		routerDone <- routeConn(conn, sinkAddr[0], sinkAddr[1], "")
-	}()
-
-	client, err := net.Dial("tcp", ln.Addr().String())
+	if err := srv.Start(); err != nil {
+		return err
+	}
+	client, err := net.Dial("tcp", addr)
 	if err != nil {
+		srv.Shutdown(time.Minute)
 		return err
 	}
 	gen := xmlrpc.NewGenerator(seed, xmlrpc.Options{})
 	corpus, services := gen.Corpus(messages)
-	if _, err := client.Write(append([]byte(corpus), '\n')); err != nil {
-		return err
+	_, err = client.Write(append([]byte(corpus), '\n'))
+	if err == nil {
+		// The server hangs up once the stream's last message is routed.
+		client.(*net.TCPConn).CloseWrite()
+		_, err = io.Copy(io.Discard, client)
 	}
 	client.Close()
-	if err := <-routerDone; err != nil {
+	if serr := srv.Shutdown(time.Minute); err == nil {
+		err = serr
+	}
+	if err != nil {
 		return err
 	}
 	wg.Wait()

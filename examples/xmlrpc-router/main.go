@@ -74,7 +74,11 @@ func sharded() {
 	sink.OnRoute = func(stream string, port int, service string, message []byte) {
 		perConn[stream]++
 	}
-	p, err := runtime.NewPipeline(runtime.Config{Shards: 4, Factory: runtime.TaggerFactory(spec)}, sink)
+	built, err := runtime.Build(runtime.KindStream, spec, runtime.BuildOptions{})
+	if err != nil {
+		panic(err)
+	}
+	p, err := runtime.NewPipeline(runtime.Config{Shards: 4, Factory: built.Factory}, sink)
 	if err != nil {
 		panic(err)
 	}

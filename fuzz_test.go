@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"cfgtag/internal/aot"
+	"cfgtag/internal/core"
 	"cfgtag/internal/runtime"
 	"cfgtag/internal/stream"
 )
@@ -45,8 +46,8 @@ func FuzzGrammarParse(f *testing.F) {
 		// DFA does not close within the budget; refusing is fine,
 		// panicking is the bug. A tiny budget keeps pathological fuzz
 		// grammars from spending the whole run determinizing.
-		if f, err := runtime.AOTFactoryConfig(engine.Spec(), aot.Config{MaxStates: 64}); err == nil {
-			ab, err := f(0, nil)
+		if built, err := runtime.Build(runtime.KindAOT, engine.Spec(), runtime.BuildOptions{AOT: aot.Config{MaxStates: 64}}); err == nil {
+			ab, err := built.Factory(0, nil)
 			if err != nil {
 				t.Fatalf("aot factory built but backend mint failed: %v", err)
 			}
@@ -75,15 +76,16 @@ var (
 )
 
 func buildRig() {
-	mk := func(f runtime.Factory, err error) runtime.Backend {
+	mk := func(kind runtime.Kind, spec *core.Spec, o runtime.BuildOptions) runtime.Backend {
 		if rigErr != nil {
 			return nil
 		}
+		built, err := runtime.Build(kind, spec, o)
 		if err != nil {
 			rigErr = err
 			return nil
 		}
-		b, err := f(0, nil)
+		b, err := built.Factory(0, nil)
 		if err != nil {
 			rigErr = err
 			return nil
@@ -96,19 +98,19 @@ func buildRig() {
 		return
 	}
 	spec := engine.Spec()
-	rig.stream = mk(runtime.TaggerFactory(spec), nil)
-	rig.dfa = mk(runtime.DFAFactory(spec, 0), nil)
-	rig.dfaTiny = mk(runtime.DFAFactory(spec, 2), nil)
-	rig.dfaNoAccel = mk(runtime.DFAFactoryConfig(spec, stream.DFAConfig{NoAccel: true}), nil)
-	rig.gates = mk(runtime.GateFactory(spec))
+	rig.stream = mk(runtime.KindStream, spec, runtime.BuildOptions{})
+	rig.dfa = mk(runtime.KindDFA, spec, runtime.BuildOptions{})
+	rig.dfaTiny = mk(runtime.KindDFA, spec, runtime.BuildOptions{DFA: stream.DFAConfig{MaxStates: 2}})
+	rig.dfaNoAccel = mk(runtime.KindDFA, spec, runtime.BuildOptions{DFA: stream.DFAConfig{NoAccel: true}})
+	rig.gates = mk(runtime.KindGates, spec, runtime.BuildOptions{})
 	rec, err := Compile("fuzz-diff-rec", IfThenElseSource, FreeRunningStart(), RecoverResync())
 	if err != nil {
 		rigErr = err
 		return
 	}
-	rig.recStream = mk(runtime.TaggerFactory(rec.Spec()), nil)
-	rig.recDFA = mk(runtime.DFAFactory(rec.Spec(), 0), nil)
-	rig.recDFANoAccel = mk(runtime.DFAFactoryConfig(rec.Spec(), stream.DFAConfig{NoAccel: true}), nil)
+	rig.recStream = mk(runtime.KindStream, rec.Spec(), runtime.BuildOptions{})
+	rig.recDFA = mk(runtime.KindDFA, rec.Spec(), runtime.BuildOptions{})
+	rig.recDFANoAccel = mk(runtime.KindDFA, rec.Spec(), runtime.BuildOptions{DFA: stream.DFAConfig{NoAccel: true}})
 }
 
 func runDiff(b runtime.Backend, data []byte) []stream.Match {
@@ -205,15 +207,16 @@ var (
 )
 
 func buildAOTRig() {
-	mk := func(f runtime.Factory, err error) runtime.Backend {
+	mk := func(kind runtime.Kind, spec *core.Spec, o runtime.BuildOptions) runtime.Backend {
 		if aotRigErr != nil {
 			return nil
 		}
+		built, err := runtime.Build(kind, spec, o)
 		if err != nil {
 			aotRigErr = err
 			return nil
 		}
-		b, err := f(0, nil)
+		b, err := built.Factory(0, nil)
 		if err != nil {
 			aotRigErr = err
 			return nil
@@ -226,16 +229,16 @@ func buildAOTRig() {
 		return
 	}
 	spec := engine.Spec()
-	aotRigV.dfa = mk(runtime.DFAFactory(spec, 0), nil)
-	aotRigV.aot = mk(runtime.AOTFactory(spec, 0))
-	aotRigV.aotNoAccel = mk(runtime.AOTFactoryConfig(spec, aot.Config{NoAccel: true}))
+	aotRigV.dfa = mk(runtime.KindDFA, spec, runtime.BuildOptions{})
+	aotRigV.aot = mk(runtime.KindAOT, spec, runtime.BuildOptions{})
+	aotRigV.aotNoAccel = mk(runtime.KindAOT, spec, runtime.BuildOptions{AOT: aot.Config{NoAccel: true}})
 	rec, err := Compile("fuzz-aot-rec", IfThenElseSource, FreeRunningStart(), RecoverResync())
 	if err != nil {
 		aotRigErr = err
 		return
 	}
-	aotRigV.recDFA = mk(runtime.DFAFactory(rec.Spec(), 0), nil)
-	aotRigV.recAOT = mk(runtime.AOTFactory(rec.Spec(), 0))
+	aotRigV.recDFA = mk(runtime.KindDFA, rec.Spec(), runtime.BuildOptions{})
+	aotRigV.recAOT = mk(runtime.KindAOT, rec.Spec(), runtime.BuildOptions{})
 }
 
 // runDiffChunked is runDiff with the input split into random 1–9 byte
@@ -325,15 +328,16 @@ var (
 )
 
 func buildEarleyRig() {
-	mk := func(f runtime.Factory, err error) runtime.Backend {
+	mk := func(kind runtime.Kind, spec *core.Spec, o runtime.BuildOptions) runtime.Backend {
 		if earleyRigErr != nil {
 			return nil
 		}
+		built, err := runtime.Build(kind, spec, o)
 		if err != nil {
 			earleyRigErr = err
 			return nil
 		}
-		b, err := f(0, nil)
+		b, err := built.Factory(0, nil)
 		if err != nil {
 			earleyRigErr = err
 			return nil
@@ -346,9 +350,9 @@ func buildEarleyRig() {
 		return
 	}
 	spec := engine.Spec()
-	earleyRigV.earley = mk(runtime.EarleyFactory(spec))
-	earleyRigV.parser = mk(runtime.ParserFactory(spec))
-	earleyRigV.stream = mk(runtime.TaggerFactory(spec), nil)
+	earleyRigV.earley = mk(runtime.KindEarley, spec, runtime.BuildOptions{})
+	earleyRigV.parser = mk(runtime.KindParser, spec, runtime.BuildOptions{})
+	earleyRigV.stream = mk(runtime.KindStream, spec, runtime.BuildOptions{})
 }
 
 // runVerdict is runDiff plus the Close verdict, which the exact-language

@@ -48,7 +48,11 @@ func newWrapped(t *testing.T, cfg faultinject.Config) runtime.Backend {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := faultinject.Factory(runtime.TaggerFactory(spec), cfg)(0, nil)
+	built, err := runtime.Build(runtime.KindStream, spec, runtime.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := faultinject.Factory(built.Factory, cfg)(0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func sinkPipeline(t *testing.T, shards int) (*runtime.Pipeline, *Sink) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := runtime.NewPipeline(runtime.Config{Shards: shards, Factory: runtime.TaggerFactory(spec)}, sink)
+	p, err := runtime.NewPipeline(runtime.Config{Shards: shards, Factory: streamFactory(t, spec)}, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestSinkValidationDivertsPerStream(t *testing.T) {
 	sink.OnRoute = func(stream string, port int, service string, message []byte) {
 		ports[stream] = port
 	}
-	p, err := runtime.NewPipeline(runtime.Config{Shards: 2, Factory: runtime.TaggerFactory(spec)}, sink)
+	p, err := runtime.NewPipeline(runtime.Config{Shards: 2, Factory: streamFactory(t, spec)}, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func routeOracle(t *testing.T, spec *core.Spec, corpus string) []string {
 	sink.OnRoute = func(stream string, port int, service string, message []byte) {
 		got = append(got, service)
 	}
-	p, err := runtime.NewPipeline(runtime.Config{Shards: 1, Factory: runtime.TaggerFactory(spec)}, sink)
+	p, err := runtime.NewPipeline(runtime.Config{Shards: 1, Factory: streamFactory(t, spec)}, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestSinkHotSwapVersions(t *testing.T) {
 	ws := &seenSink{Sink: sink, keys: make(map[string]bool)}
 	p, err := runtime.NewPipeline(runtime.Config{
 		Shards:  2,
-		Factory: runtime.TaggerFactory(specA),
+		Factory: streamFactory(t, specA),
 		Hooks: &runtime.Hooks{Event: func(e runtime.Event) {
 			if e.Kind == runtime.EventVersionRetired {
 				sink.DropVersion(e.Version)
@@ -295,7 +295,7 @@ func TestSinkHotSwapVersions(t *testing.T) {
 	if err := sink.StageVersion(specB); err != nil {
 		t.Fatal(err)
 	}
-	v, err := p.SwapFactory(runtime.TaggerFactory(specB))
+	v, err := p.SwapFactory(streamFactory(t, specB))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,4 +346,14 @@ func TestSinkHotSwapVersions(t *testing.T) {
 	if !live2 {
 		t.Error("version 2 spec missing")
 	}
+}
+
+// streamFactory builds the stream path for spec, failing the test on error.
+func streamFactory(t *testing.T, spec *core.Spec) runtime.Factory {
+	t.Helper()
+	b, err := runtime.Build(runtime.KindStream, spec, runtime.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b.Factory
 }

@@ -27,15 +27,15 @@ func compileT(t *testing.T, g *grammar.Grammar, opts core.Options) *core.Spec {
 func factories(t *testing.T, spec *core.Spec) map[string]Factory {
 	t.Helper()
 	out := map[string]Factory{
-		"stream": TaggerFactory(spec),
+		"stream": mustBuild(t, KindStream, spec, BuildOptions{}),
 		"dfa":    DFAFactory(spec, 0),
 	}
-	gf, err := GateFactory(spec)
+	gf, err := buildF(KindGates, spec, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	out["gates"] = gf
-	if pf, err := ParserFactory(spec); err == nil {
+	if pf, err := buildF(KindParser, spec, BuildOptions{}); err == nil {
 		out["parser"] = pf
 	}
 	return out
@@ -138,7 +138,7 @@ func TestBackendFeedAfterClose(t *testing.T) {
 
 func TestParserBackendRejects(t *testing.T) {
 	spec := compileT(t, grammar.IfThenElse(), core.Options{})
-	pf, err := ParserFactory(spec)
+	pf, err := buildF(KindParser, spec, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,20 +155,9 @@ func TestParserBackendRejects(t *testing.T) {
 	}
 }
 
-func TestParserFactoryRejectsNonLL1(t *testing.T) {
-	g, err := grammar.Parse("nonll1", "%%\nS : \"a\" \"b\" | \"a\" \"c\" ;\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := compileT(t, g, core.Options{})
-	if _, err := ParserFactory(spec); err == nil {
-		t.Error("ParserFactory accepted a non-LL(1) grammar")
-	}
-}
-
 func TestTaggerBackendRecoveryCounter(t *testing.T) {
 	spec := compileT(t, grammar.IfThenElse(), core.Options{Recovery: core.RecoveryRestart})
-	b, err := TaggerFactory(spec)(0, nil)
+	b, err := mustBuild(t, KindStream, spec, BuildOptions{})(0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,13 +236,6 @@ func TestMetricsReconcileCounters(t *testing.T) {
 	// The recovering paths see corrupt bytes between sentences; the exact
 	// paths need one sentence per stream.
 	noisy := sentence + " ### " + sentence
-	must := func(f Factory, err error) Factory {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f
-	}
 	cases := []struct {
 		name    string
 		factory Factory
@@ -261,12 +243,12 @@ func TestMetricsReconcileCounters(t *testing.T) {
 		// wantRecoveries and wantResets demand nonzero totals.
 		wantRecoveries, wantResets bool
 	}{
-		{"stream", TaggerFactory(recovering), noisy, true, false},
+		{"stream", mustBuild(t, KindStream, recovering, BuildOptions{}), noisy, true, false},
 		{"dfa", DFAFactory(recovering, 2), noisy, true, true},
-		{"aot", must(AOTFactory(recovering, 0)), noisy, true, false},
-		{"gates", must(GateFactory(plain)), sentence, false, false},
-		{"parser", must(ParserFactory(plain)), sentence, false, false},
-		{"earley", must(EarleyFactory(plain)), sentence, false, false},
+		{"aot", mustBuild(t, KindAOT, recovering, BuildOptions{}), noisy, true, false},
+		{"gates", mustBuild(t, KindGates, plain, BuildOptions{}), sentence, false, false},
+		{"parser", mustBuild(t, KindParser, plain, BuildOptions{}), sentence, false, false},
+		{"earley", mustBuild(t, KindEarley, plain, BuildOptions{}), sentence, false, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

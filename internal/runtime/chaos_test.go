@@ -121,7 +121,7 @@ func TestChaosPipeline(t *testing.T) {
 		FailCount:  2, // below SinkAttempts: retries must absorb every failure
 		PanicEvery: 211,
 	})
-	factory := faultinject.Factory(runtime.TaggerFactory(spec), faultinject.Config{
+	factory := faultinject.Factory(streamFactory(t, spec), faultinject.Config{
 		Triggers: true,
 		Latency:  50 * time.Microsecond,
 	})
@@ -253,10 +253,11 @@ func TestChaosPipelineEarley(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	earleyF, err := runtime.EarleyFactory(spec)
+	earley, err := runtime.Build(runtime.KindEarley, spec, runtime.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	earleyF := earley.Factory
 	refB, err := earleyF(0, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -450,7 +451,7 @@ func TestChaosPipelineWithEviction(t *testing.T) {
 	p, err := runtime.NewPipeline(runtime.Config{
 		Shards:     4,
 		MaxStreams: 4, // far below the live population: eviction churns
-		Factory:    faultinject.Factory(runtime.TaggerFactory(spec), faultinject.Config{Triggers: true}),
+		Factory:    faultinject.Factory(streamFactory(t, spec), faultinject.Config{Triggers: true}),
 		Hooks:      &runtime.Hooks{Metrics: &mc},
 		Quarantine: time.Hour,
 	}, collector)
@@ -498,4 +499,14 @@ func TestChaosPipelineWithEviction(t *testing.T) {
 	if f := mc.Faults(); f.StreamsEvicted == 0 {
 		t.Error("tight MaxStreams cap produced no evictions")
 	}
+}
+
+// streamFactory builds the stream path for spec, failing the test on error.
+func streamFactory(t *testing.T, spec *core.Spec) runtime.Factory {
+	t.Helper()
+	b, err := runtime.Build(runtime.KindStream, spec, runtime.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b.Factory
 }

@@ -81,43 +81,38 @@ func Conformance(g *grammar.Grammar, seed int64, opts ConformanceOptions) error 
 	if err != nil {
 		return fmt.Errorf("conformance %s: compile: %w", g.Name, err)
 	}
-	taggerF := TaggerFactory(spec)
-	gateF, err := GateFactory(spec)
-	if err != nil {
-		return fmt.Errorf("conformance %s: gate factory: %w", g.Name, err)
-	}
-	earleyF, err := EarleyFactory(spec)
-	if err != nil {
-		return fmt.Errorf("conformance %s: earley factory: %w", g.Name, err)
-	}
-	parserF, _ := ParserFactory(spec) // nil factory when the grammar is not LL(1)
-	aotF, err := AOTFactory(spec, 0)
-	if err != nil {
-		return fmt.Errorf("conformance %s: aot factory: %w", g.Name, err)
-	}
-	aotPlainF, err := AOTFactoryConfig(spec, aot.Config{NoAccel: true})
-	if err != nil {
-		return fmt.Errorf("conformance %s: aot noaccel factory: %w", g.Name, err)
-	}
-	fs := backendSet{
-		tagger:     taggerF,
-		gate:       gateF,
-		parser:     parserF,
-		earley:     earleyF,
-		dfa:        DFAFactory(spec, 0),
-		dfaTiny:    DFAFactory(spec, 2), // forces cache overflow + reset on real traffic
-		dfaNoAccel: DFAFactoryConfig(spec, stream.DFAConfig{NoAccel: true}),
-		aot:        aotF,
-		aotNoAccel: aotPlainF,
-		exact:      opts.ExactOracle,
-	}
-	if opts.WrapFactory != nil {
-		for _, f := range []*Factory{&fs.tagger, &fs.gate, &fs.earley, &fs.dfa, &fs.dfaTiny, &fs.dfaNoAccel, &fs.aot, &fs.aotNoAccel} {
-			*f = opts.WrapFactory(*f)
+	wrap := func(f Factory) Factory {
+		if opts.WrapFactory != nil {
+			return opts.WrapFactory(f)
 		}
-		if fs.parser != nil {
-			fs.parser = opts.WrapFactory(fs.parser)
+		return f
+	}
+	fs := backendSet{exact: opts.ExactOracle}
+	for _, v := range []struct {
+		f    *Factory
+		kind Kind
+		o    BuildOptions
+	}{
+		{&fs.tagger, KindStream, BuildOptions{}},
+		{&fs.gate, KindGates, BuildOptions{}},
+		{&fs.earley, KindEarley, BuildOptions{}},
+		{&fs.dfa, KindDFA, BuildOptions{}},
+		// A two-state cache forces overflow + reset on real traffic.
+		{&fs.dfaTiny, KindDFA, BuildOptions{DFA: stream.DFAConfig{MaxStates: 2}}},
+		{&fs.dfaNoAccel, KindDFA, BuildOptions{DFA: stream.DFAConfig{NoAccel: true}}},
+		{&fs.aot, KindAOT, BuildOptions{}},
+		{&fs.aotNoAccel, KindAOT, BuildOptions{AOT: aot.Config{NoAccel: true}}},
+	} {
+		b, err := Build(v.kind, spec, v.o)
+		if err != nil {
+			return fmt.Errorf("conformance %s: %s factory: %w", g.Name, v.kind, err)
 		}
+		*v.f = wrap(b.Factory)
+	}
+	// The parser path exists only for LL(1) grammars; a nil factory
+	// leaves it out of the comparison.
+	if b, err := Build(KindParser, spec, BuildOptions{}); err == nil {
+		fs.parser = wrap(b.Factory)
 	}
 
 	gen := workload.NewGenerator(spec, seed, workload.SentenceOptions{MaxDepth: 8})

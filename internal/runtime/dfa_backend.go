@@ -11,82 +11,36 @@ import (
 // backend, served from hash-consed transition outcomes instead of per-byte
 // bitset recomputation.
 type dfaBackend struct {
-	d       *stream.DFA
-	lim     Limits
-	pending []stream.Match
-	bytes   int64
-	matches int64
+	matchBuf
+	d *stream.DFA
 }
 
-// DFAFactory returns a Factory producing lazy-DFA engines. The spec is
-// compiled once and every Backend executes against one shared transition
-// cache bounded by maxStates states (0 = stream.DefaultDFAMaxStates):
-// determinization is paid once per factory, not once per stream, and
+// buildDFA creates one transition cache bounded by o.DFA.MaxStates states
+// (0 = stream.DefaultDFAMaxStates) that every Backend executes against:
+// determinization is paid once per version, not once per stream, and
 // late-arriving streams run warm from their first byte. On overflow the
 // cache resets wholesale and rebuilds from live traffic, so the path
-// degrades to NFA speed, never to unbounded memory.
-func DFAFactory(spec *core.Spec, maxStates int) Factory {
-	return DFAFactoryConfig(spec, stream.DFAConfig{MaxStates: maxStates})
-}
-
-// DFAFactoryConfig is DFAFactory with the full stream.DFAConfig exposed,
-// notably NoAccel for differential runs against the skip-ahead path.
-func DFAFactoryConfig(spec *core.Spec, cfg stream.DFAConfig) Factory {
-	return DFAFactoryLimits(spec, cfg, Limits{})
-}
-
-// DFAFactoryLimits is DFAFactoryConfig with per-stream resource bounds:
-// MaxPendingMatches bounds each stream's undrained match buffer (error
-// wrapping ErrResourceExhausted on trip), and Limits.Mem — unless the
-// DFAConfig already carries a MemDelta — observes the shared transition
-// cache's estimated footprint, so tenant memory budgets see cache growth.
-func DFAFactoryLimits(spec *core.Spec, cfg stream.DFAConfig, lim Limits) Factory {
-	if cfg.MemDelta == nil {
-		cfg.MemDelta = lim.Mem.Delta()
+// degrades to NFA speed, never to unbounded memory. The cache's estimated
+// footprint is charged to the version (and so to Limits.Mem) as it grows.
+// MaxPendingMatches bounds each stream's undrained match buffer.
+func buildDFA(spec *core.Spec, o BuildOptions, c *charge) (Built, error) {
+	cfg := o.DFA
+	cfg.MemDelta = nil // unmetered versions skip the size estimates
+	if c.mem != nil {
+		cfg.MemDelta = c.add
 	}
 	cache := stream.NewDFACache(spec, cfg)
-	return func(int, *Hooks) (Backend, error) {
-		d := cache.NewDFA()
-		b := &dfaBackend{d: d, lim: lim}
-		d.OnMatch = func(m stream.Match) {
-			b.pending = append(b.pending, m)
-			b.matches++
-		}
+	lim := o.Limits
+	return Built{Factory: func(int, *Hooks) (Backend, error) {
+		b := &dfaBackend{matchBuf: matchBuf{lim: lim}, d: cache.NewDFA()}
+		b.d.OnMatch = b.add
 		return b, nil
-	}
+	}}, nil
 }
 
-func (b *dfaBackend) Reset() {
-	b.d.Reset()
-	b.pending = b.pending[:0]
-	b.bytes = 0
-	b.matches = 0
-}
-
-func (b *dfaBackend) Feed(p []byte) error {
-	n, err := b.d.Write(p)
-	b.bytes += int64(n)
-	if err == nil {
-		err = b.lim.checkPending(len(b.pending))
-	}
-	return err
-}
-
-func (b *dfaBackend) Close() error { return b.d.Close() }
-
-func (b *dfaBackend) Matches() []stream.Match {
-	out := b.pending
-	b.pending = nil
-	return out
-}
-
-// DrainMatches hands the confirmed matches to the caller and adopts buf as
-// the new pending buffer, letting the pipeline recycle match slices.
-func (b *dfaBackend) DrainMatches(buf []stream.Match) []stream.Match {
-	out := b.pending
-	b.pending = buf[:0]
-	return out
-}
+func (b *dfaBackend) Reset()              { b.d.Reset(); b.reset() }
+func (b *dfaBackend) Feed(p []byte) error { return b.fed(b.d.Write(p)) }
+func (b *dfaBackend) Close() error        { return b.d.Close() }
 
 // CacheStates reports the number of DFA states currently cached;
 // MaxStates the configured bound. Exposed for the conformance harness's

@@ -18,80 +18,33 @@ import (
 // on ambiguous input reports the union of tags over all derivations.
 // Matches become available only after a successful Close.
 type earleyBackend struct {
-	spec    *core.Spec
-	rec     *earley.Recognizer
-	lim     Limits
-	buf     []byte
-	charged int64
-	pending []stream.Match
-	matches int64
-	closed  bool
+	sentenceBuf
+	rec *earley.Recognizer
 }
 
-// EarleyFactory returns a Factory producing exact-language recognizers.
-// The recognizer is compiled once and shared (it is immutable and safe for
-// concurrent use); each Backend carries only its input buffer. It fails
-// for spec options with no exact-language counterpart (FreeRunningStart,
-// AllEnabled, recovery modes).
-func EarleyFactory(spec *core.Spec) (Factory, error) {
-	return EarleyFactoryLimits(spec, Limits{})
-}
-
-// EarleyFactoryLimits is EarleyFactory with per-stream resource bounds:
+// buildEarley compiles the recognizer once and shares it (it is
+// immutable and safe for concurrent use); each Backend carries only its
+// input buffer. It fails for spec options with no exact-language
+// counterpart (FreeRunningStart, AllEnabled, recovery modes).
 // MaxBufferBytes caps the whole-sentence buffer, MaxChartItems and
 // MaxWorkPerByte bound the Close-time recognition's chart and worklist
 // (see earley.Config), and Limits.Mem is charged with the buffer capacity
-// and the live chart estimate. Every trip surfaces as an error wrapping
-// ErrResourceExhausted, ending only the offending stream.
-func EarleyFactoryLimits(spec *core.Spec, lim Limits) (Factory, error) {
+// and the live chart estimate while the stream runs. Every trip surfaces
+// as an error wrapping ErrResourceExhausted, ending only the offending
+// stream.
+func buildEarley(spec *core.Spec, o BuildOptions, _ *charge) (Built, error) {
+	lim := o.Limits
 	rec, err := earley.NewWithConfig(spec, earley.Config{
 		MaxChartItems:  lim.MaxChartItems,
 		MaxWorkPerByte: lim.MaxWorkPerByte,
 		MemDelta:       lim.Mem.Delta(),
 	})
 	if err != nil {
-		return nil, err
+		return Built{}, err
 	}
-	return func(int, *Hooks) (Backend, error) {
-		return &earleyBackend{spec: spec, rec: rec, lim: lim}, nil
-	}, nil
-}
-
-func (b *earleyBackend) Reset() {
-	b.buf = b.buf[:0]
-	b.pending = b.pending[:0]
-	b.matches = 0
-	b.closed = false
-}
-
-func (b *earleyBackend) Feed(p []byte) error {
-	if b.closed {
-		return errClosed
-	}
-	if err := b.lim.checkBuffer(len(b.buf), len(p)); err != nil {
-		return err
-	}
-	b.buf = append(b.buf, p...)
-	b.chargeBuf()
-	return nil
-}
-
-// chargeBuf settles the memory gauge with the buffer's current capacity.
-func (b *earleyBackend) chargeBuf() {
-	if b.lim.Mem != nil {
-		if c := int64(cap(b.buf)); c != b.charged {
-			b.lim.Mem.Add(c - b.charged)
-			b.charged = c
-		}
-	}
-}
-
-// releaseMem discharges the buffer charge when the stream retires.
-func (b *earleyBackend) releaseMem() {
-	if b.charged != 0 {
-		b.lim.Mem.Add(-b.charged)
-		b.charged = 0
-	}
+	return Built{Factory: func(int, *Hooks) (Backend, error) {
+		return &earleyBackend{sentenceBuf: sentenceBuf{spec: spec, lim: lim}, rec: rec}, nil
+	}}, nil
 }
 
 func (b *earleyBackend) Close() error {
@@ -137,14 +90,4 @@ func (b *earleyBackend) Close() error {
 	b.pending = dedup
 	b.matches += int64(len(dedup))
 	return nil
-}
-
-func (b *earleyBackend) Matches() []stream.Match {
-	out := b.pending
-	b.pending = nil
-	return out
-}
-
-func (b *earleyBackend) Counters() Counters {
-	return Counters{Bytes: int64(len(b.buf)), Matches: b.matches}
 }

@@ -194,7 +194,7 @@ func TestPipelineEviction(t *testing.T) {
 			evicted[e.Key] = true
 		}
 	}}
-	p, err := NewPipeline(Config{Shards: 1, MaxStreams: 2, Factory: TaggerFactory(spec), Hooks: hooks}, sink)
+	p, err := NewPipeline(Config{Shards: 1, MaxStreams: 2, Factory: mustBuild(t, KindStream, spec, BuildOptions{}), Hooks: hooks}, sink)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package runtime
 import (
 	"cfgtag/internal/core"
 	"cfgtag/internal/hwgen"
-	"cfgtag/internal/stream"
 )
 
 // gateBackend adapts the cycle-accurate gate-level simulation of the
@@ -15,22 +14,21 @@ import (
 // read zero here; differential tests compare match sets, where the same
 // events are visible.
 type gateBackend struct {
-	r       *hwgen.Runner
-	pending []stream.Match
-	bytes   int64
-	matches int64
-	closed  bool
+	matchBuf
+	r      *hwgen.Runner
+	closed bool
 }
 
-// GateFactory returns a Factory producing gate-level simulations of the
-// spec's generated design. The netlist is generated once and shared
-// read-only; each Backend instantiates its own simulator state.
-func GateFactory(spec *core.Spec) (Factory, error) {
+// buildGates generates the spec's netlist once and shares it read-only;
+// each Backend instantiates its own simulator state. It is the hardware
+// reference, not a production path, so it ignores every limit (tenant
+// memory budgets still see its arenas).
+func buildGates(spec *core.Spec, _ BuildOptions, _ *charge) (Built, error) {
 	d, err := hwgen.Generate(spec, hwgen.Options{})
 	if err != nil {
-		return nil, err
+		return Built{}, err
 	}
-	return func(int, *Hooks) (Backend, error) {
+	return Built{Factory: func(int, *Hooks) (Backend, error) {
 		r, err := hwgen.NewRunner(d)
 		if err != nil {
 			return nil, err
@@ -38,27 +36,20 @@ func GateFactory(spec *core.Spec) (Factory, error) {
 		b := &gateBackend{r: r}
 		b.Reset()
 		return b, nil
-	}, nil
+	}}, nil
 }
 
 func (b *gateBackend) Reset() {
 	b.r.Begin()
-	b.pending = b.pending[:0]
-	b.bytes = 0
-	b.matches = 0
+	b.reset()
 	b.closed = false
-}
-
-func (b *gateBackend) emit(m stream.Match) {
-	b.pending = append(b.pending, m)
-	b.matches++
 }
 
 func (b *gateBackend) Feed(p []byte) error {
 	if b.closed {
 		return errClosed
 	}
-	b.r.Feed(p, b.emit)
+	b.r.Feed(p, b.add)
 	b.bytes += int64(len(p))
 	return nil
 }
@@ -68,14 +59,8 @@ func (b *gateBackend) Close() error {
 		return nil
 	}
 	b.closed = true
-	b.r.Finish(b.emit)
+	b.r.Finish(b.add)
 	return nil
-}
-
-func (b *gateBackend) Matches() []stream.Match {
-	out := b.pending
-	b.pending = nil
-	return out
 }
 
 func (b *gateBackend) Counters() Counters {

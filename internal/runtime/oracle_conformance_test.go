@@ -58,7 +58,7 @@ func TestOracleChunkStraddling(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			earleyF, err := EarleyFactory(spec)
+			earleyF, err := buildF(KindEarley, spec, BuildOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -70,7 +70,7 @@ func TestOracleChunkStraddling(t *testing.T) {
 			for _, f := range []struct {
 				name    string
 				factory Factory
-			}{{"earley", earleyF}, {"stream", TaggerFactory(spec)}} {
+			}{{"earley", earleyF}, {"stream", mustBuild(t, KindStream, spec, BuildOptions{})}} {
 				whole := feedSplit(t, f.factory, text, -1)
 				for split := 0; split <= len(text); split++ {
 					if got := feedSplit(t, f.factory, text, split); !reflect.DeepEqual(got, whole) {

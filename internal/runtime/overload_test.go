@@ -380,7 +380,7 @@ func TestEarleyChartBudgetEndsStream(t *testing.T) {
 		}
 	}}
 	spec := ambSpec(t)
-	factory, err := EarleyFactoryLimits(spec, Limits{MaxChartItems: 300})
+	factory, err := buildF(KindEarley, spec, BuildOptions{Limits: Limits{MaxChartItems: 300}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +429,7 @@ func TestEarleyChartBudgetEndsStream(t *testing.T) {
 func TestBufferAndPendingBudgets(t *testing.T) {
 	t.Run("earley-buffer", func(t *testing.T) {
 		spec := ambSpec(t)
-		factory, err := EarleyFactoryLimits(spec, Limits{MaxBufferBytes: 16})
+		factory, err := buildF(KindEarley, spec, BuildOptions{Limits: Limits{MaxBufferBytes: 16}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -440,7 +440,7 @@ func TestBufferAndPendingBudgets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		factory, err := ParserFactoryLimits(spec, Limits{MaxBufferBytes: 16})
+		factory, err := buildF(KindParser, spec, BuildOptions{Limits: Limits{MaxBufferBytes: 16}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -451,7 +451,7 @@ func TestBufferAndPendingBudgets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		factory := TaggerFactoryLimits(spec, Limits{MaxPendingMatches: 1})
+		factory := mustBuild(t, KindStream, spec, BuildOptions{Limits: Limits{MaxPendingMatches: 1}})
 		// One chunk carrying several matches overflows the pending bound
 		// before the batch's drain.
 		chunk := []byte("<methodCall><methodName>a</methodName></methodCall>")
@@ -493,7 +493,7 @@ func TestTenantMemBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	mem := &MemGauge{}
-	factory, err := ParserFactoryLimits(spec, Limits{Mem: mem})
+	factory, err := buildF(KindParser, spec, BuildOptions{Limits: Limits{Mem: mem}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -686,7 +686,7 @@ func TestOverloadSoak(t *testing.T) {
 	spec := ambSpec(t)
 	mem := &MemGauge{}
 	lim := Limits{MaxChartItems: 500, MaxWorkPerByte: 2048, Mem: mem}
-	baseFactory, err := EarleyFactoryLimits(spec, lim)
+	baseFactory, err := buildF(KindEarley, spec, BuildOptions{Limits: lim})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,7 +57,7 @@ func TestPipelineTagsManyStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink := newCollectSink()
-	p, err := NewPipeline(Config{Shards: 4, Factory: TaggerFactory(spec)}, sink)
+	p, err := NewPipeline(Config{Shards: 4, Factory: mustBuild(t, KindStream, spec, BuildOptions{})}, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestPipelineStreamAffinity(t *testing.T) {
 		shardOf[b.Key][b.Shard] = true
 		return nil
 	})
-	p, err := NewPipeline(Config{Shards: 8, Factory: TaggerFactory(spec)}, sink)
+	p, err := NewPipeline(Config{Shards: 8, Factory: mustBuild(t, KindStream, spec, BuildOptions{})}, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestPipelineParserBackendVerdicts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pf, err := ParserFactory(spec)
+	pf, err := buildF(KindParser, spec, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestPipelineCloseFlushesOpenStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink := newCollectSink()
-	p, err := NewPipeline(Config{Shards: 2, Factory: TaggerFactory(spec)}, sink)
+	p, err := NewPipeline(Config{Shards: 2, Factory: mustBuild(t, KindStream, spec, BuildOptions{})}, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestPipelineSendAfterClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewPipeline(Config{Shards: 1, Factory: TaggerFactory(spec)}, SinkFunc(func(*Batch) error { return nil }))
+	p, err := NewPipeline(Config{Shards: 1, Factory: mustBuild(t, KindStream, spec, BuildOptions{})}, SinkFunc(func(*Batch) error { return nil }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestPipelineSendCloseRace(t *testing.T) {
 		mu.Unlock()
 		return nil
 	})
-	p, err := NewPipeline(Config{Shards: 4, Queue: 4, Factory: TaggerFactory(spec)}, sink)
+	p, err := NewPipeline(Config{Shards: 4, Queue: 4, Factory: mustBuild(t, KindStream, spec, BuildOptions{})}, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +329,7 @@ func TestPipelineOrderingUnderConcurrency(t *testing.T) {
 		}
 		return nil
 	})
-	p, err := NewPipeline(Config{Shards: 4, Queue: 8, Factory: TaggerFactory(spec)}, sink)
+	p, err := NewPipeline(Config{Shards: 4, Queue: 8, Factory: mustBuild(t, KindStream, spec, BuildOptions{})}, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +393,7 @@ func TestPipelineConcurrentSenders(t *testing.T) {
 		total += len(b.Tags)
 		return nil
 	})
-	p, err := NewPipeline(Config{Shards: 4, Queue: 8, Factory: TaggerFactory(spec), Hooks: &Hooks{Metrics: &mc}}, sink)
+	p, err := NewPipeline(Config{Shards: 4, Queue: 8, Factory: mustBuild(t, KindStream, spec, BuildOptions{}), Hooks: &Hooks{Metrics: &mc}}, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +440,7 @@ func TestPipelineSinkErrorPropagates(t *testing.T) {
 		t.Fatal(err)
 	}
 	sinkErr := fmt.Errorf("sink exploded")
-	p, err := NewPipeline(Config{Shards: 1, Factory: TaggerFactory(spec)}, SinkFunc(func(*Batch) error { return sinkErr }))
+	p, err := NewPipeline(Config{Shards: 1, Factory: mustBuild(t, KindStream, spec, BuildOptions{})}, SinkFunc(func(*Batch) error { return sinkErr }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -519,7 +519,7 @@ func TestPipelineSinkWorkers(t *testing.T) {
 	})
 	p, err := NewPipeline(Config{
 		Shards:      4,
-		Factory:     TaggerFactory(spec),
+		Factory:     mustBuild(t, KindStream, spec, BuildOptions{}),
 		SinkWorkers: 4,
 	}, sink)
 	if err != nil {

@@ -42,7 +42,7 @@ func TestRegistryRoutesTenantsIndependently(t *testing.T) {
 	if err := r.Add(Tenant{Name: "alpha", Config: Config{Shards: 2, Factory: DFAFactory(specA, 0), Hooks: &Hooks{Metrics: &mcA}}}, sinkA); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Add(Tenant{Name: "beta", Config: Config{Shards: 1, Factory: TaggerFactory(specB), Hooks: &Hooks{Metrics: &mcB}}}, sinkB); err != nil {
+	if err := r.Add(Tenant{Name: "beta", Config: Config{Shards: 1, Factory: mustBuild(t, KindStream, specB, BuildOptions{}), Hooks: &Hooks{Metrics: &mcB}}}, sinkB); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Add(Tenant{Name: "alpha", Config: Config{Factory: fakeFactory}}, sinkA); !errors.Is(err, ErrTenantExists) {

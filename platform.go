@@ -7,12 +7,9 @@ import (
 	"fmt"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"cfgtag/internal/aot"
 	"cfgtag/internal/runtime"
-	"cfgtag/internal/stream"
 )
 
 // ErrInvalidConfig is the sentinel wrapped by every configuration
@@ -176,17 +173,6 @@ var optionByName = map[string]Option{
 	"recover-resync":         RecoverResync(),
 }
 
-// backendKinds is the set of declarative backend names.
-var backendKinds = map[string]BackendKind{
-	"":       StreamBackend,
-	"stream": StreamBackend,
-	"dfa":    DFABackend,
-	"aot":    AOTBackend,
-	"gates":  GatesBackend,
-	"parser": ParserBackend,
-	"earley": EarleyBackend,
-}
-
 // ParsePlatformConfig decodes a JSON platform configuration strictly:
 // unknown fields are errors, so a typo'd knob cannot silently no-op. The
 // result is structurally decoded but not yet validated; call Validate (or
@@ -234,7 +220,7 @@ func (pc *PlatformConfig) Validate() error {
 				return &ConfigError{Field: field("options"), Value: o, Reason: "unknown compile option"}
 			}
 		}
-		if _, ok := backendKinds[t.Backend]; !ok {
+		if !BackendKind(t.Backend).Known() {
 			return &ConfigError{Field: field("backend"), Value: t.Backend, Reason: "unknown backend kind"}
 		}
 		if t.Shards < 0 {
@@ -323,7 +309,7 @@ type platformTenant struct {
 
 	mu       sync.RWMutex
 	engines  map[int]*Engine
-	releases map[int]func() // per-version memory-gauge discharge, if any
+	releases map[int]func() // per-version Built.Release
 	pending  *Engine        // compiled but not yet bound to a version id
 	current  *Engine        // the newest engine (Reload target)
 	compile  CompileStats   // the current version's AOT synthesis report
@@ -338,41 +324,6 @@ func (t *TenantDef) limits(mem *MemGauge) StreamLimits {
 		MaxWorkPerByte:    t.Limits.MaxWorkPerByte,
 		Mem:               mem,
 	}
-}
-
-// buildFactory builds one factory version with the tenant's limits. The
-// dfa path charges its shared transition cache to the memory gauge for
-// the version's lifetime; the aot path determinizes the grammar here —
-// once per version, so Reload amortizes the compile fleet-wide — and
-// charges its flattened tables the same way. The returned release
-// discharges that charge when the version retires (nil when there is
-// nothing to release), so zero-downtime reloads do not accrete gauge
-// drift. The returned CompileStats is the aot program's synthesis report
-// (zero on the other backends).
-func buildFactory(engine *Engine, kind BackendKind, lim StreamLimits) (runtime.Factory, func(), CompileStats, error) {
-	if kind == DFABackend && lim.Mem != nil {
-		var charged atomic.Int64
-		mem := lim.Mem
-		cfg := stream.DFAConfig{MemDelta: func(d int64) { charged.Add(d); mem.Add(d) }}
-		f := runtime.DFAFactoryLimits(engine.spec, cfg, lim)
-		return f, func() { mem.Add(-charged.Swap(0)) }, CompileStats{}, nil
-	}
-	if kind == AOTBackend {
-		prog, err := aot.Compile(engine.spec, aot.Config{})
-		if err != nil {
-			return nil, nil, CompileStats{}, err
-		}
-		var release func()
-		if lim.Mem != nil {
-			mem := lim.Mem
-			bytes := int64(prog.Stats().TableBytes)
-			mem.Add(bytes)
-			release = func() { mem.Add(-bytes) }
-		}
-		return runtime.AOTProgramFactory(prog, lim), release, prog.Stats(), nil
-	}
-	f, err := engine.factoryLimits(kind, lim)
-	return f, nil, CompileStats{}, err
 }
 
 // engineFor resolves the engine for a batch's factory version. A version
@@ -454,7 +405,7 @@ func (p *Platform) addTenant(def TenantDef, deliver func(string, *TagBatch) erro
 	if err != nil {
 		return fmt.Errorf("cfgtag: tenant %q: %w", def.Name, err)
 	}
-	kind := backendKinds[def.Backend]
+	kind := BackendKind(def.Backend)
 	// One gauge per tenant, shared by the factory (stream buffers, DFA
 	// cache, charts), the pipeline (arenas) and the quota check at Send.
 	var mem *MemGauge
@@ -462,10 +413,11 @@ func (p *Platform) addTenant(def TenantDef, deliver func(string, *TagBatch) erro
 		mem = &MemGauge{}
 	}
 	lim := def.limits(mem)
-	factory, release, stats, err := buildFactory(engine, kind, lim)
+	built, err := runtime.Build(kind, engine.spec, runtime.BuildOptions{Limits: lim})
 	if err != nil {
 		return fmt.Errorf("cfgtag: tenant %q: %w", def.Name, err)
 	}
+	factory := built.Factory
 	if p.wrap != nil {
 		factory = p.wrap(factory)
 	}
@@ -474,9 +426,9 @@ func (p *Platform) addTenant(def TenantDef, deliver func(string, *TagBatch) erro
 		kind:     kind,
 		lim:      lim,
 		engines:  map[int]*Engine{1: engine},
-		releases: map[int]func(){1: release},
+		releases: map[int]func(){1: built.Release},
 		current:  engine,
-		compile:  stats,
+		compile:  built.Stats,
 	}
 	name := def.Name
 	sink := runtime.SinkFunc(func(b *runtime.Batch) error {
@@ -511,9 +463,7 @@ func (p *Platform) addTenant(def TenantDef, deliver func(string, *TagBatch) erro
 		},
 	}
 	if err := p.reg.Add(tenant, sink); err != nil {
-		if release != nil {
-			release()
-		}
+		built.Release()
 		return err
 	}
 	p.mu.Lock()
@@ -580,10 +530,11 @@ func (p *Platform) Reload(tenant, grammarSrc string) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("cfgtag: tenant %q: %w", tenant, err)
 	}
-	factory, release, stats, err := buildFactory(engine, pt.kind, pt.lim)
+	built, err := runtime.Build(pt.kind, engine.spec, runtime.BuildOptions{Limits: pt.lim})
 	if err != nil {
 		return 0, fmt.Errorf("cfgtag: tenant %q: %w", tenant, err)
 	}
+	factory := built.Factory
 	if p.wrap != nil {
 		factory = p.wrap(factory)
 	}
@@ -596,16 +547,14 @@ func (p *Platform) Reload(tenant, grammarSrc string) (int, error) {
 	pt.mu.Lock()
 	if err == nil {
 		pt.engines[v] = engine
-		pt.releases[v] = release
+		pt.releases[v] = built.Release
 		pt.current = engine
-		pt.compile = stats
+		pt.compile = built.Stats
 	}
 	pt.pending = nil
 	pt.mu.Unlock()
 	if err != nil {
-		if release != nil {
-			release()
-		}
+		built.Release()
 		return 0, err
 	}
 	return v, nil
