@@ -92,6 +92,10 @@ func RecoverResync() Option { return func(o *core.Options) { o.Recovery = core.R
 // Engine is a compiled tagging engine for one grammar.
 type Engine struct {
 	spec *core.Spec
+	// tmpl holds one Match per tokenizer instance with everything but End
+	// filled in: an instance's tag is fixed wiring, so it is rendered once
+	// here rather than per detection.
+	tmpl []Match
 }
 
 // Compile parses the grammar source and compiles the engine.
@@ -113,7 +117,17 @@ func CompileGrammar(g *grammar.Grammar, opts ...Option) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{spec: spec}, nil
+	tmpl := make([]Match, len(spec.Instances))
+	for i, in := range spec.Instances {
+		tmpl[i] = Match{
+			Term:        in.Term,
+			Context:     in.Context(spec.Grammar),
+			Index:       in.Index,
+			SentenceEnd: in.CanEnd,
+			InstanceID:  in.ID,
+		}
+	}
+	return &Engine{spec: spec, tmpl: tmpl}, nil
 }
 
 // Spec exposes the compiled specification for advanced integration
@@ -158,15 +172,9 @@ func (e *Engine) NewTagger() *Tagger {
 }
 
 func (e *Engine) match(m stream.Match) Match {
-	in := e.spec.Instances[m.InstanceID]
-	return Match{
-		Term:        in.Term,
-		Context:     in.Context(e.spec.Grammar),
-		Index:       in.Index,
-		End:         m.End,
-		SentenceEnd: in.CanEnd,
-		InstanceID:  in.ID,
-	}
+	out := e.tmpl[m.InstanceID]
+	out.End = m.End
+	return out
 }
 
 // Errors returns the number of section 5.2 recovery events so far (always
@@ -340,14 +348,7 @@ func (p *Parser) Parse(input []byte) ([]Match, error) {
 		if in == nil {
 			return nil, fmt.Errorf("cfgtag: internal: no instance at rule %d pos %d", tag.Rule, tag.Pos)
 		}
-		out = append(out, Match{
-			Term:        in.Term,
-			Context:     in.Context(p.engine.spec.Grammar),
-			Index:       in.Index,
-			End:         int64(tag.End),
-			SentenceEnd: in.CanEnd,
-			InstanceID:  in.ID,
-		})
+		out = append(out, p.engine.match(stream.Match{InstanceID: in.ID, End: int64(tag.End)}))
 	}
 	return out, nil
 }
@@ -539,8 +540,9 @@ func (b *Backend) CompileStats() CompileStats {
 }
 
 // TagBatch is one unit of pipeline output: a chunk of one stream plus the
-// matches confirmed over it. Data is pooled — it is only valid during the
-// deliver callback; copy it to keep it.
+// matches confirmed over it. Data and Tags are pooled: both are only valid
+// during the deliver callback, and Tags' backing array is reused for a
+// later batch once the callback returns. Copy what you keep.
 type TagBatch struct {
 	// Stream is the key the bytes were Sent under.
 	Stream string
@@ -565,15 +567,40 @@ type TagBatch struct {
 	Version int
 }
 
-func (e *Engine) toTagBatch(b *runtime.Batch) *TagBatch {
+// maxPooledTags bounds tag-array retention in tagBufs, matching the
+// runtime's match-slice cap: one huge batch must not pin its array for the
+// process lifetime.
+const maxPooledTags = 8192
+
+// tagBufs recycles TagBatch.Tags backing arrays across deliveries. It holds
+// pointers so a Put does not allocate.
+var tagBufs = sync.Pool{New: func() any { return new([]Match) }}
+
+// deliverBatch converts b into a TagBatch, hands it to fn and, once fn
+// returns, recycles the Tags array, so fn must not retain b.Tags. The
+// header stays a fresh allocation per call: sinks may compare batch
+// identity.
+func (e *Engine) deliverBatch(b *runtime.Batch, fn func(*TagBatch) error) error {
 	tb := &TagBatch{Stream: b.Key, Shard: b.Shard, Data: b.Data, EOS: b.EOS, Evicted: b.Evicted, Err: b.Err, Version: b.Version}
-	if len(b.Tags) > 0 {
-		tb.Tags = make([]Match, len(b.Tags))
-		for i, m := range b.Tags {
-			tb.Tags[i] = e.match(m)
-		}
+	if len(b.Tags) == 0 {
+		return fn(tb)
 	}
-	return tb
+	buf := tagBufs.Get().(*[]Match)
+	tags := *buf
+	if cap(tags) < len(b.Tags) {
+		tags = make([]Match, len(b.Tags))
+	}
+	tags = tags[:len(b.Tags)]
+	for i, m := range b.Tags {
+		tags[i] = e.match(m)
+	}
+	tb.Tags = tags
+	err := fn(tb)
+	if cap(tags) <= maxPooledTags {
+		*buf = tags[:0]
+		tagBufs.Put(buf)
+	}
+	return err
 }
 
 // Metrics aggregates pipeline observability counters (bytes, matches,
@@ -607,7 +634,8 @@ type PipelineConfig struct {
 	SinkBackoff time.Duration
 	// DeadLetter, when set, receives batches whose deliver attempts were
 	// exhausted; the pipeline then carries on. When nil, an exhausted
-	// batch fails the pipeline permanently instead.
+	// batch fails the pipeline permanently instead. Like deliver, it must
+	// not retain b.Data or b.Tags past the call.
 	DeadLetter func(*TagBatch, error)
 	// BatchBytes is the per-shard coalescing threshold: chunks for a
 	// shard are batched into one pooled dispatch message until this many
@@ -717,8 +745,9 @@ type Pipeline struct {
 	release func() // discharges the backend version's memory charge
 }
 
-// NewPipeline starts a sharded pipeline delivering tag batches to deliver.
-// The pipeline owns its goroutines until Close.
+// NewPipeline starts a sharded pipeline delivering tag batches to deliver,
+// which must not retain b.Data or b.Tags past the call. The pipeline owns
+// its goroutines until Close.
 func (e *Engine) NewPipeline(cfg PipelineConfig, deliver func(*TagBatch) error) (*Pipeline, error) {
 	built, err := runtime.Build(cfg.Backend, e.spec, runtime.BuildOptions{Limits: cfg.Limits})
 	if err != nil {
@@ -746,11 +775,11 @@ func (e *Engine) NewPipeline(cfg PipelineConfig, deliver func(*TagBatch) error) 
 	}
 	if cfg.DeadLetter != nil {
 		dl := cfg.DeadLetter
-		rcfg.DeadLetter = func(b *runtime.Batch, err error) { dl(e.toTagBatch(b), err) }
+		rcfg.DeadLetter = func(b *runtime.Batch, err error) {
+			e.deliverBatch(b, func(tb *TagBatch) error { dl(tb, err); return nil })
+		}
 	}
-	sink := runtime.SinkFunc(func(b *runtime.Batch) error {
-		return deliver(e.toTagBatch(b))
-	})
+	sink := runtime.SinkFunc(func(b *runtime.Batch) error { return e.deliverBatch(b, deliver) })
 	p, err := runtime.NewPipeline(rcfg, sink)
 	if err != nil {
 		built.Release()

@@ -48,9 +48,9 @@ func AppendBatchText(dst []byte, prefix string, b *cfgtag.TagBatch, total *int) 
 		*total++
 		dst = append(dst, prefix...)
 		dst = append(dst, "TAG "...)
-		dst = appendUint(dst, int(m.End))
+		dst = appendInt(dst, int(m.End))
 		dst = append(dst, ' ')
-		dst = appendUint(dst, m.Index)
+		dst = appendInt(dst, m.Index)
 		dst = append(dst, ' ')
 		dst = append(dst, m.Term...)
 		dst = append(dst, ' ')
@@ -69,7 +69,7 @@ func AppendBatchText(dst []byte, prefix string, b *cfgtag.TagBatch, total *int) 
 		dst = appendSanitized(dst, b.Err.Error())
 	default:
 		dst = append(dst, "END "...)
-		dst = appendUint(dst, *total)
+		dst = appendInt(dst, *total)
 	}
 	return append(dst, '\n')
 }

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 )
 
 // Wire-protocol limits. Every limit is enforced by the parser before any
@@ -285,23 +286,12 @@ func AppendFrame(dst []byte, f Frame) []byte {
 		dst = append(dst, "DATA "...)
 		dst = append(dst, f.Key...)
 		dst = append(dst, ' ')
-		dst = appendUint(dst, len(f.Payload))
+		dst = appendInt(dst, len(f.Payload))
 		dst = append(dst, '\n')
 		dst = append(dst, f.Payload...)
 	}
 	return append(dst, '\n')
 }
 
-func appendUint(dst []byte, n int) []byte {
-	if n == 0 {
-		return append(dst, '0')
-	}
-	var tmp [20]byte
-	i := len(tmp)
-	for n > 0 {
-		i--
-		tmp[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return append(dst, tmp[i:]...)
-}
+// appendInt appends n in decimal.
+func appendInt(dst []byte, n int) []byte { return strconv.AppendInt(dst, int64(n), 10) }

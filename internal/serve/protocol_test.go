@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -116,6 +118,28 @@ func TestFrameRoundTrip(t *testing.T) {
 		}
 		if got.Op != want.Op || got.Key != want.Key || !bytes.Equal(got.Payload, want.Payload) {
 			t.Fatalf("frame %d: got %+v want %+v", i, got, want)
+		}
+	}
+}
+
+// TestAppendInt pins the decimal rendering of TAG ends and indices, END
+// totals and DATA lengths, including a negative value, which must keep its
+// sign rather than vanish from the line.
+func TestAppendInt(t *testing.T) {
+	cases := []struct {
+		n    int
+		want string
+	}{
+		{0, "0"},
+		{9, "9"},
+		{10, "10"},
+		{4096, "4096"},
+		{math.MaxInt, strconv.Itoa(math.MaxInt)},
+		{-1, "-1"},
+	}
+	for _, c := range cases {
+		if got := string(appendInt([]byte("x"), c.n)); got != "x"+c.want {
+			t.Errorf("appendInt(%d) = %q, want %q", c.n, got, "x"+c.want)
 		}
 	}
 }

@@ -31,7 +31,8 @@ type Stats interface {
 }
 
 // Output receives one network stream's tag batches, in stream order; the
-// batch with EOS set is the last. Deliver must not retain the batch.
+// batch with EOS set is the last. Deliver must not retain the batch,
+// b.Data or b.Tags past the call (copy if needed).
 // Output errors are absorbed by the server (counted, the output is
 // dropped) rather than propagated into the pipeline's retry machinery —
 // a client that stopped reading must not stall or dead-letter a tenant.
@@ -42,7 +43,8 @@ type Output interface {
 // TenantSink observes every delivered batch of every tenant — the
 // fan-out hook for mirroring tag events into logs, brokers or test
 // recorders. Unlike Output errors, a TenantSink error propagates into
-// the pipeline's sink retry/dead-letter machinery.
+// the pipeline's sink retry/dead-letter machinery. It must not retain
+// b.Data or b.Tags past the call (copy if needed).
 type TenantSink func(tenant string, b *cfgtag.TagBatch) error
 
 // ErrDrainTimeout is returned by Shutdown when live sessions were still

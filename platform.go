@@ -431,8 +431,9 @@ func (p *Platform) addTenant(def TenantDef, deliver func(string, *TagBatch) erro
 		compile:  built.Stats,
 	}
 	name := def.Name
+	tenantDeliver := func(tb *TagBatch) error { return deliver(name, tb) }
 	sink := runtime.SinkFunc(func(b *runtime.Batch) error {
-		return deliver(name, pt.engineFor(b.Version).toTagBatch(b))
+		return pt.engineFor(b.Version).deliverBatch(b, tenantDeliver)
 	})
 	tenant := runtime.Tenant{
 		Name: name,
