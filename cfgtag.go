@@ -603,6 +603,23 @@ func (e *Engine) deliverBatch(b *runtime.Batch, fn func(*TagBatch) error) error 
 	return err
 }
 
+// engineSink is one factory version's runtime sink: it decodes the
+// version's batches with the engine the version was built from and, when
+// the pipeline closes it after the version's last batch, discharges the
+// version's memory charge (Built.Release).
+type engineSink struct {
+	e       *Engine
+	deliver func(*TagBatch) error
+	release func()
+}
+
+func (s engineSink) Deliver(b *runtime.Batch) error { return s.e.deliverBatch(b, s.deliver) }
+
+func (s engineSink) Close() error {
+	s.release()
+	return nil
+}
+
 // Metrics aggregates pipeline observability counters (bytes, matches,
 // recoveries, collisions, queue-depth high-water mark) atomically; safe
 // for concurrent use. The zero value is ready.
@@ -742,7 +759,6 @@ type Pipeline struct {
 	inner  *runtime.Pipeline
 
 	closeMu sync.Mutex
-	release func() // discharges the backend version's memory charge
 }
 
 // NewPipeline starts a sharded pipeline delivering tag batches to deliver,
@@ -779,13 +795,12 @@ func (e *Engine) NewPipeline(cfg PipelineConfig, deliver func(*TagBatch) error) 
 			e.deliverBatch(b, func(tb *TagBatch) error { dl(tb, err); return nil })
 		}
 	}
-	sink := runtime.SinkFunc(func(b *runtime.Batch) error { return e.deliverBatch(b, deliver) })
-	p, err := runtime.NewPipeline(rcfg, sink)
+	p, err := runtime.NewPipeline(rcfg, engineSink{e: e, deliver: deliver, release: built.Release})
 	if err != nil {
 		built.Release()
 		return nil, err
 	}
-	return &Pipeline{engine: e, inner: p, release: built.Release}, nil
+	return &Pipeline{engine: e, inner: p}, nil
 }
 
 // Send routes one chunk of the keyed stream to its shard. It blocks when
@@ -803,9 +818,7 @@ func (p *Pipeline) CloseStream(stream string) error { return p.inner.CloseStream
 func (p *Pipeline) Close() error {
 	p.closeMu.Lock()
 	defer p.closeMu.Unlock()
-	err := p.inner.Close()
-	p.release()
-	return err
+	return p.inner.Close()
 }
 
 // Err reports the pipeline's permanent delivery failure, if any: non-nil

@@ -6,7 +6,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"sync"
 	"syscall"
 	"time"
 
@@ -58,24 +57,12 @@ func runServe(path, tcpAddr, httpAddr string, drain time.Duration) error {
 		fmt.Fprintln(os.Stderr, "cfgtagger: listening (http)", ln.Addr())
 	}
 
-	applied := make(map[string]string)
-	for _, t := range cfg.Tenants {
-		src, err := tenantSource(t)
-		if err != nil {
-			p.Close()
-			return err
-		}
-		applied[t.Name] = src
+	stopReloads, err := watchReloads(p, path, cfg)
+	if err != nil {
+		p.Close()
+		return err
 	}
-	var mu sync.Mutex
-	hup := make(chan os.Signal, 1)
-	signal.Notify(hup, syscall.SIGHUP)
-	defer signal.Stop(hup)
-	go func() {
-		for range hup {
-			reloadPlatform(p, path, applied, &mu)
-		}
-	}()
+	defer stopReloads()
 
 	if err := srv.Start(); err != nil {
 		p.Close()

@@ -471,26 +471,12 @@ func runPlatform(path string, in io.Reader, out io.Writer) error {
 		return err
 	}
 
-	// Remember each tenant's applied grammar source so SIGHUP only swaps
-	// tenants whose grammar actually changed.
-	applied := make(map[string]string)
-	for _, t := range cfg.Tenants {
-		src, err := tenantSource(t)
-		if err != nil {
-			p.Close()
-			return err
-		}
-		applied[t.Name] = src
+	stopReloads, err := watchReloads(p, path, cfg)
+	if err != nil {
+		p.Close()
+		return err
 	}
-
-	hup := make(chan os.Signal, 1)
-	signal.Notify(hup, syscall.SIGHUP)
-	defer signal.Stop(hup)
-	go func() {
-		for range hup {
-			reloadPlatform(p, path, applied, &mu)
-		}
-	}()
+	defer stopReloads()
 
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -556,12 +542,40 @@ func tenantSource(t cfgtag.TenantDef) (string, error) {
 	return string(b), nil
 }
 
+// watchReloads is the one SIGHUP reload path of -config and -listen mode:
+// it records each tenant's applied grammar source and starts the
+// goroutine that runs reloadPlatform on every SIGHUP, so only tenants
+// whose grammar actually changed are swapped. stop ends the subscription
+// and the goroutine.
+func watchReloads(p *cfgtag.Platform, path string, cfg *cfgtag.PlatformConfig) (stop func(), err error) {
+	applied := make(map[string]string)
+	for _, t := range cfg.Tenants {
+		src, err := tenantSource(t)
+		if err != nil {
+			return nil, err
+		}
+		applied[t.Name] = src
+	}
+	hup := make(chan os.Signal, 1)
+	signal.Notify(hup, syscall.SIGHUP)
+	go func() {
+		for range hup {
+			reloadPlatform(p, path, applied)
+		}
+	}()
+	return func() {
+		signal.Stop(hup)
+		close(hup)
+	}, nil
+}
+
 // reloadPlatform is the SIGHUP handler body: re-read the config, and for
 // every running tenant whose grammar source changed, publish the new
 // grammar as a new factory version. Tenants added or removed in the file
 // are reported but need a restart; a config or compile error leaves the
-// running platform untouched.
-func reloadPlatform(p *cfgtag.Platform, path string, applied map[string]string, mu *sync.Mutex) {
+// running platform untouched. applied is owned by the watchReloads
+// goroutine.
+func reloadPlatform(p *cfgtag.Platform, path string, applied map[string]string) {
 	warn := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "cfgtagger: reload: "+format+"\n", args...)
 	}
@@ -595,10 +609,7 @@ func reloadPlatform(p *cfgtag.Platform, path string, applied map[string]string, 
 			warn("%v", err)
 			continue
 		}
-		mu.Lock()
-		prev := applied[t.Name]
-		mu.Unlock()
-		if src == prev {
+		if src == applied[t.Name] {
 			continue
 		}
 		v, err := p.Reload(t.Name, src)
@@ -606,9 +617,7 @@ func reloadPlatform(p *cfgtag.Platform, path string, applied map[string]string, 
 			warn("tenant %q: %v", t.Name, err)
 			continue
 		}
-		mu.Lock()
 		applied[t.Name] = src
-		mu.Unlock()
 		warn("tenant %q reloaded as version %d", t.Name, v)
 	}
 	for name := range running {

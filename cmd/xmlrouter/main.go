@@ -344,7 +344,11 @@ func (c *inlineCore) Close() error {
 type forwarder struct {
 	addrs map[int]string
 	conns map[int]net.Conn
-	err   error
+	// line holds a copy of the message plus its newline: the message is a
+	// window into the router's stream buffer, so appending to it in place
+	// would overwrite the first byte of the next, unrouted message.
+	line []byte
+	err  error
 }
 
 func newForwarder(bank, shop, fallback string) *forwarder {
@@ -370,7 +374,8 @@ func (f *forwarder) send(port int, message []byte) {
 		}
 		f.conns[port] = bc
 	}
-	_, f.err = bc.Write(append(message, '\n'))
+	f.line = append(append(f.line[:0], message...), '\n')
+	_, f.err = bc.Write(f.line)
 }
 
 // close hangs up every back-end connection and reports the sticky error.
@@ -382,14 +387,13 @@ func (f *forwarder) close() error {
 }
 
 // switchboard is the sharded deployment: one pipeline shared by every
-// connection, with a router.Sink forwarding completed messages over
-// persistent back-end connections (opened lazily from the sink goroutine,
-// which serializes all OnRoute calls).
+// connection, with one router.Sink per grammar version forwarding
+// completed messages over persistent back-end connections (opened lazily
+// from the single sink goroutine, which serializes all OnRoute calls).
 type switchboard struct {
 	pipeline *runtime.Pipeline
-	sink     *router.Sink
 	fwd      *forwarder
-	reloadMu sync.Mutex // serializes grammar hot-swaps
+	onEOS    func(key string)
 }
 
 // xmlrpcSpec compiles the built-in figure 14 grammar the way the router
@@ -418,59 +422,52 @@ func (s eosSink) Deliver(b *runtime.Batch) error {
 }
 
 func newSwitchboard(spec *core.Spec, bank, shop, fallback string, pcfg pipelineConfig, onEOS func(key string)) (*switchboard, error) {
-	sink, err := router.NewSink(spec, "methodName", router.FigureTwelve(), 2)
+	sw := &switchboard{fwd: newForwarder(bank, shop, fallback), onEOS: onEOS}
+	factory, sink, err := sw.version(spec)
 	if err != nil {
 		return nil, err
 	}
-	built, err := runtime.Build(runtime.KindStream, spec, runtime.BuildOptions{})
-	if err != nil {
-		return nil, err
-	}
-	sw := &switchboard{sink: sink, fwd: newForwarder(bank, shop, fallback)}
-	sink.OnRoute = func(_ string, port int, _ string, message []byte) { sw.fwd.send(port, message) }
 	// The router's sink mutates shared per-service connections, so the
 	// pipeline keeps the single serialized sink worker; only batching is
 	// configurable here.
 	sw.pipeline, err = runtime.NewPipeline(runtime.Config{
 		Shards:     pcfg.shards,
-		Factory:    built.Factory,
+		Factory:    factory,
 		MaxStreams: pcfg.maxStreams,
 		Quarantine: pcfg.quarantine,
 		BatchBytes: pcfg.batchBytes,
-		Hooks: &runtime.Hooks{Event: func(e runtime.Event) {
-			if e.Kind == runtime.EventVersionRetired {
-				sink.DropVersion(e.Version)
-			}
-		}},
-	}, eosSink{Sink: sink, onEOS: onEOS})
+	}, sink)
 	if err != nil {
 		return nil, err
 	}
 	return sw, nil
 }
 
-// Reload hot-swaps the switchboard's grammar with zero downtime: the spec
-// is staged in the version-aware sink, published as a new factory version,
-// and bound to the id the swap returns. Connections alive across the swap
-// keep routing on the grammar that tagged their first bytes; new
-// connections run the new one.
-func (sw *switchboard) Reload(spec *core.Spec) (int, error) {
-	sw.reloadMu.Lock()
-	defer sw.reloadMu.Unlock()
+// version builds one grammar version: the tagging factory over spec and
+// the router sink that decodes its tags with the same spec.
+func (sw *switchboard) version(spec *core.Spec) (runtime.Factory, runtime.Sink, error) {
 	built, err := runtime.Build(runtime.KindStream, spec, runtime.BuildOptions{})
 	if err != nil {
-		return 0, err
+		return nil, nil, err
 	}
-	if err := sw.sink.StageVersion(spec); err != nil {
-		return 0, err
-	}
-	v, err := sw.pipeline.SwapFactory(built.Factory)
+	rs, err := router.NewSink(spec, "methodName", router.FigureTwelve(), 2)
 	if err != nil {
-		sw.sink.CommitVersion(0)
+		return nil, nil, err
+	}
+	rs.OnRoute = func(_ string, port int, _ string, message []byte) { sw.fwd.send(port, message) }
+	return built.Factory, eosSink{Sink: rs, onEOS: sw.onEOS}, nil
+}
+
+// Reload hot-swaps the switchboard's grammar with zero downtime: the new
+// version is published with its own router sink. Connections alive across
+// the swap keep routing on the grammar that tagged their first bytes; new
+// connections run the new one.
+func (sw *switchboard) Reload(spec *core.Spec) (int, error) {
+	factory, sink, err := sw.version(spec)
+	if err != nil {
 		return 0, err
 	}
-	sw.sink.CommitVersion(v)
-	return v, nil
+	return sw.pipeline.Swap(factory, sink)
 }
 
 // Close drains the pipeline and closes the back-end connections.

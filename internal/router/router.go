@@ -8,7 +8,9 @@
 // Two front ends drive the same switching core: Router couples it to its
 // own inline tagger (one stream, io.Writer-style), and Sink plugs it into
 // the sharded runtime pipeline as the batch consumer (many streams, tags
-// computed upstream by any Backend).
+// computed upstream by any Backend). A Sink decodes one spec; a grammar
+// reload publishes a new Sink with the new factory version, and the
+// pipeline hands each stream's batches to its own version's Sink.
 package router
 
 import (

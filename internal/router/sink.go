@@ -1,21 +1,9 @@
 package router
 
 import (
-	"sync"
-
 	"cfgtag/internal/core"
 	"cfgtag/internal/runtime"
 )
-
-// sinkVersion is one factory version's decode state: the spec that version's
-// backends tag with, and the service-name instance IDs resolved inside it.
-// Streams bind exactly one version for their whole life (the pipeline's
-// reload guarantee), so each switchCore is built from the version its first
-// batch carries.
-type sinkVersion struct {
-	spec          *core.Spec
-	nameInstances map[int]bool
-}
 
 // Sink plugs the content-based switch into the sharded runtime pipeline:
 // each delivered batch carries a chunk of one stream plus the tags some
@@ -23,23 +11,15 @@ type sinkVersion struct {
 // per stream. It implements runtime.Sink; Deliver is called from the
 // pipeline's single sink goroutine, so stream state needs no locking.
 //
-// The Sink is version-aware: when the pipeline's factory is hot-swapped
-// (Pipeline.SwapFactory), batches keep carrying the version that tagged
-// them, and the Sink decodes each stream with that version's spec. Stage a
-// new spec with StageVersion before the swap, bind it with CommitVersion
-// after, and call DropVersion from the pipeline's Hooks.Event on each
-// runtime.EventVersionRetired so retired versions' specs are released.
+// A Sink decodes one spec: the spec its pipeline factory version was built
+// from. A grammar reload builds a new Sink for the new spec and publishes
+// it with the new factory (Pipeline.Swap); the pipeline delivers each
+// stream's batches to the sink of the version that tagged them.
 type Sink struct {
-	nameProduction string
-	routes         map[string]int
-	defaultPort    int
-
-	// verMu guards the version table: Deliver reads it on the sink
-	// goroutine while Stage/Commit/Drop run on the reloading goroutine.
-	verMu    sync.RWMutex
-	versions map[int]*sinkVersion
-	pending  *sinkVersion // staged by StageVersion, not yet bound to an id
-	base     *sinkVersion // construction-time fallback for unknown versions
+	spec          *core.Spec
+	nameInstances map[int]bool
+	routes        map[string]int
+	defaultPort   int
 
 	validateDepth int
 	validatePort  int
@@ -55,10 +35,10 @@ type Sink struct {
 }
 
 // NewSink builds a pipeline sink switching on the terminal detected inside
-// nameProduction. The spec must be the very spec the pipeline's Backend
-// factory was built from (instance IDs must agree); compile it with
-// FreeRunningStart so long-lived streams route message after message. The
-// spec is registered as factory version 1, the id NewPipeline seeds.
+// nameProduction. The spec must be the very spec the factory version the
+// sink is published with was built from (instance IDs must agree); compile
+// it with FreeRunningStart so long-lived streams route message after
+// message.
 func NewSink(spec *core.Spec, nameProduction string, routes []Route, defaultPort int) (*Sink, error) {
 	names, err := resolveNameInstances(spec, nameProduction)
 	if err != nil {
@@ -68,14 +48,12 @@ func NewSink(spec *core.Spec, nameProduction string, routes []Route, defaultPort
 	if err != nil {
 		return nil, err
 	}
-	base := &sinkVersion{spec: spec, nameInstances: names}
 	s := &Sink{
-		nameProduction: nameProduction,
-		routes:         table,
-		defaultPort:    defaultPort,
-		versions:       map[int]*sinkVersion{1: base},
-		base:           base,
-		streams:        make(map[string]*switchCore),
+		spec:          spec,
+		nameInstances: names,
+		routes:        table,
+		defaultPort:   defaultPort,
+		streams:       make(map[string]*switchCore),
 	}
 	s.stats.PerPort = make(map[int]int)
 	return s, nil
@@ -85,7 +63,7 @@ func NewSink(spec *core.Spec, nameProduction string, routes []Route, defaultPort
 // (see Router.EnableValidation). Must be called before the first Deliver.
 func (s *Sink) EnableValidation(maxDepth, invalidPort int) error {
 	// Probe once so a non-LL(1) grammar fails here, not mid-pipeline.
-	probe := newSwitchCore(s.base.spec, s.base.nameInstances, s.routes, s.defaultPort, &Stats{PerPort: map[int]int{}})
+	probe := newSwitchCore(s.spec, s.nameInstances, s.routes, s.defaultPort, &Stats{PerPort: map[int]int{}})
 	if err := probe.enableValidation(maxDepth, invalidPort); err != nil {
 		return err
 	}
@@ -95,100 +73,13 @@ func (s *Sink) EnableValidation(maxDepth, invalidPort int) error {
 	return nil
 }
 
-// StageVersion prepares a new spec for a factory hot-swap: the service-name
-// instances are resolved (and, with validation enabled, the grammar probed)
-// now, so a spec the router cannot switch on fails here instead of
-// mid-pipeline. Call before Pipeline.SwapFactory; the staged spec decodes
-// any batch carrying an unknown version until CommitVersion binds it —
-// covering the window where the new version's first batch reaches the sink
-// before SwapFactory has returned its id. Reloads must be serialized by the
-// caller (one staged version at a time).
-func (s *Sink) StageVersion(spec *core.Spec) error {
-	names, err := resolveNameInstances(spec, s.nameProduction)
-	if err != nil {
-		return err
-	}
-	v := &sinkVersion{spec: spec, nameInstances: names}
-	if s.validate {
-		probe := newSwitchCore(spec, names, s.routes, s.defaultPort, &Stats{PerPort: map[int]int{}})
-		if err := probe.enableValidation(s.validateDepth, s.validatePort); err != nil {
-			return err
-		}
-	}
-	s.verMu.Lock()
-	s.pending = v
-	s.verMu.Unlock()
-	return nil
-}
-
-// CommitVersion binds the staged spec to the version id SwapFactory
-// returned and clears the staging slot. Pass version <= 0 to abort a stage
-// whose swap failed.
-func (s *Sink) CommitVersion(version int) {
-	s.verMu.Lock()
-	if s.pending != nil && version > 0 {
-		if _, ok := s.versions[version]; !ok {
-			s.versions[version] = s.pending
-		}
-	}
-	s.pending = nil
-	s.verMu.Unlock()
-}
-
-// AddVersion registers a spec under an already-known version id — the
-// direct form of StageVersion/CommitVersion for callers that learn the id
-// before any of its batches can arrive.
-func (s *Sink) AddVersion(version int, spec *core.Spec) error {
-	if err := s.StageVersion(spec); err != nil {
-		return err
-	}
-	s.CommitVersion(version)
-	return nil
-}
-
-// DropVersion forgets a retired version's spec. Call it from the
-// pipeline's Hooks.Event for each runtime.EventVersionRetired, passing
-// the event's Version: the runtime retires a version only after its last
-// stream's final batch has been delivered, so no live switchCore still
-// references the dropped spec.
-func (s *Sink) DropVersion(version int) {
-	s.verMu.Lock()
-	delete(s.versions, version)
-	s.verMu.Unlock()
-}
-
-// versionFor resolves the decode state for a batch's factory version,
-// memoizing the staged version under a first-seen id.
-func (s *Sink) versionFor(ver int) *sinkVersion {
-	s.verMu.RLock()
-	v := s.versions[ver]
-	pending := s.pending
-	s.verMu.RUnlock()
-	if v != nil {
-		return v
-	}
-	if pending != nil {
-		s.verMu.Lock()
-		if existing := s.versions[ver]; existing != nil {
-			v = existing
-		} else {
-			s.versions[ver] = pending
-			v = pending
-		}
-		s.verMu.Unlock()
-		return v
-	}
-	return s.base
-}
-
 // Deliver consumes one batch: bytes first, then the tags over them; on EOS
 // the stream's core is finished and released. Incomplete final messages
 // are counted in Stats rather than failing the pipeline.
 func (s *Sink) Deliver(b *runtime.Batch) error {
 	w, ok := s.streams[b.Key]
 	if !ok {
-		v := s.versionFor(b.Version)
-		w = newSwitchCore(v.spec, v.nameInstances, s.routes, s.defaultPort, &s.stats)
+		w = newSwitchCore(s.spec, s.nameInstances, s.routes, s.defaultPort, &s.stats)
 		if s.validate {
 			if err := w.enableValidation(s.validateDepth, s.validatePort); err != nil {
 				return err
@@ -215,8 +106,8 @@ func (s *Sink) Deliver(b *runtime.Batch) error {
 	return nil
 }
 
-// Close implements runtime.Sink; open streams have already been flushed by
-// the pipeline's synthetic EOS batches.
+// Close implements runtime.Sink; the pipeline calls it after the sink's
+// version delivered its last batch, so every stream has already ended.
 func (s *Sink) Close() error { return nil }
 
 // Stats returns the routing counters aggregated across all streams. Call

@@ -222,11 +222,12 @@ func (w *seenSink) seen(key string) bool {
 	return w.keys[key]
 }
 
-// TestSinkHotSwapVersions swaps the pipeline's grammar mid-run and checks
-// the version-aware sink decodes every stream with the spec that tagged it:
-// streams opened before the swap route exactly what the old grammar routes,
-// streams opened after it what the new grammar routes, and the retired
-// version's spec is dropped.
+// TestSinkHotSwapVersions swaps the pipeline's grammar mid-run, publishing
+// a new Sink for the new spec, and checks every stream is decoded by the
+// sink of the version that tagged it: streams opened before the swap
+// route exactly what the old grammar routes, through the old sink only;
+// streams opened after it what the new grammar routes, through the new
+// sink only; and the old version retires once its streams end.
 func TestSinkHotSwapVersions(t *testing.T) {
 	specA, err := core.Compile(grammar.XMLRPC(), core.Options{FreeRunningStart: true})
 	if err != nil {
@@ -248,27 +249,23 @@ func TestSinkHotSwapVersions(t *testing.T) {
 		t.Fatalf("oracles agree (%v); the swap would be unobservable", wantOld)
 	}
 
-	sink, err := NewSink(specA, "methodName", FigureTwelve(), 9)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var mu sync.Mutex
 	routed := make(map[string][]string)
-	sink.OnRoute = func(stream string, port int, service string, message []byte) {
-		mu.Lock()
-		routed[stream] = append(routed[stream], service)
-		mu.Unlock()
+	newSink := func(spec *core.Spec) *Sink {
+		sink, err := NewSink(spec, "methodName", FigureTwelve(), 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink.OnRoute = func(stream string, port int, service string, message []byte) {
+			mu.Lock()
+			routed[stream] = append(routed[stream], service)
+			mu.Unlock()
+		}
+		return sink
 	}
-	ws := &seenSink{Sink: sink, keys: make(map[string]bool)}
-	p, err := runtime.NewPipeline(runtime.Config{
-		Shards:  2,
-		Factory: streamFactory(t, specA),
-		Hooks: &runtime.Hooks{Event: func(e runtime.Event) {
-			if e.Kind == runtime.EventVersionRetired {
-				sink.DropVersion(e.Version)
-			}
-		}},
-	}, ws)
+	sinkA, sinkB := newSink(specA), newSink(specB)
+	ws := &seenSink{Sink: sinkA, keys: make(map[string]bool)}
+	p, err := runtime.NewPipeline(runtime.Config{Shards: 2, Factory: streamFactory(t, specA)}, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,17 +288,13 @@ func TestSinkHotSwapVersions(t *testing.T) {
 		}
 	}
 
-	// Hot-swap: stage the new spec, swap the factory, bind the id.
-	if err := sink.StageVersion(specB); err != nil {
-		t.Fatal(err)
-	}
-	v, err := p.SwapFactory(streamFactory(t, specB))
+	// Hot-swap: the new factory and the new spec's sink form version 2.
+	v, err := p.Swap(streamFactory(t, specB), sinkB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink.CommitVersion(v)
 	if v != 2 {
-		t.Fatalf("SwapFactory returned version %d, want 2", v)
+		t.Fatalf("Swap returned version %d, want 2", v)
 	}
 
 	// New streams bind the new version; old streams finish on the old one.
@@ -323,6 +316,14 @@ func TestSinkHotSwapVersions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The old version drains and retires before the pipeline closes.
+	deadline = time.Now().Add(10 * time.Second)
+	for !reflect.DeepEqual(p.LiveVersions(), []int{2}) {
+		if time.Now().After(deadline) {
+			t.Fatalf("old version never retired: LiveVersions = %v", p.LiveVersions())
+		}
+		time.Sleep(time.Millisecond)
+	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -335,16 +336,12 @@ func TestSinkHotSwapVersions(t *testing.T) {
 			t.Errorf("new-%d routed %v, want new-grammar %v", i, got, wantNew)
 		}
 	}
-	// The old version drained and retired, so its spec was dropped.
-	sink.verMu.RLock()
-	_, live1 := sink.versions[1]
-	_, live2 := sink.versions[2]
-	sink.verMu.RUnlock()
-	if live1 {
-		t.Error("version 1 spec not dropped after retirement")
+	// Each sink decoded its own version's streams and no others.
+	if got, want := sinkA.Stats().Messages, n*len(wantOld); got != want {
+		t.Errorf("old sink routed %d messages, want %d", got, want)
 	}
-	if !live2 {
-		t.Error("version 2 spec missing")
+	if got, want := sinkB.Stats().Messages, n*len(wantNew); got != want {
+		t.Errorf("new sink routed %d messages, want %d", got, want)
 	}
 }
 

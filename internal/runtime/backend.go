@@ -149,9 +149,9 @@ const (
 	// EventDeadLetter: Key's batch went to Config.DeadLetter with Err after
 	// its Deliver attempts were exhausted.
 	EventDeadLetter
-	// EventVersionRetired: factory Version is no longer current and its
-	// last stream's final batch has been delivered, so resources the
-	// factory closed over are safe to tear down.
+	// EventVersionRetired: factory Version is no longer current, its
+	// last stream's final batch has been delivered and its sink has been
+	// closed.
 	EventVersionRetired
 	// EventOverloaded: a Send of Key was shed by admission control (see
 	// Config.SendTimeout); nothing was enqueued.

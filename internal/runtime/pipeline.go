@@ -124,25 +124,24 @@ type Batch struct {
 	// panicking Feed also ends the stream, reporting here with EOS set.
 	Err error
 	// Version identifies the backend factory version that produced this
-	// batch's tags (see SwapFactory). Spec-dependent sinks use it to
-	// decode tags with the grammar generation the stream is actually
-	// running, across zero-downtime reloads.
+	// batch's tags (see Swap); the batch is delivered to that version's
+	// sink.
 	Version int
 
-	// ver releases the stream's factory-version binding after this final
-	// batch is delivered; set only on EOS batches of streams that bound a
-	// version.
+	// ver is the stream's factory version: its sink receives the batch,
+	// and an EOS batch releases the stream's binding once it is out.
 	ver *factoryVersion
 }
 
-// Sink consumes completed tag batches. With the default single sink
-// worker, Deliver is called from one goroutine; with Config.SinkWorkers >
-// 1 the shards are partitioned across workers and the Sink must be safe
-// for concurrent Deliver calls. Either way batches of one stream arrive in
-// order on one goroutine. Deliver must not retain b.Data or b.Tags past
-// the call (copy if needed). A Deliver error or panic is retried with
-// backoff (see Config); wrap an error with PermanentError to fail the
-// pipeline immediately instead.
+// Sink consumes completed tag batches of one factory version (see Swap).
+// With the default single sink worker, Deliver is called from one
+// goroutine; with Config.SinkWorkers > 1 the shards are partitioned across
+// workers and the Sink must be safe for concurrent Deliver calls. Either
+// way batches of one stream arrive in order on one goroutine. Deliver must
+// not retain b.Data or b.Tags past the call (copy if needed). A Deliver
+// error or panic is retried with backoff (see Config); wrap an error with
+// PermanentError to fail the pipeline immediately instead. Close is called
+// once per version the sink serves, after that version's last batch.
 type Sink interface {
 	Deliver(b *Batch) error
 	Close() error
@@ -278,7 +277,6 @@ type Config struct {
 type Pipeline struct {
 	cfg     Config
 	mc      *MetricCounters // cfg.Hooks.Metrics, nil when unset
-	sink    Sink
 	shards  []*shard
 	sinkChs []chan *sinkGroup
 
@@ -318,8 +316,9 @@ type Pipeline struct {
 	liveVers  map[int]*factoryVersion
 	nextVerID int
 
-	errMu   sync.Mutex
-	sinkErr error
+	errMu    sync.Mutex
+	sinkErr  error // first permanent delivery failure
+	closeErr error // first Sink.Close error
 }
 
 // msgRef is one message inside a shardBatch: a window into the batch's
@@ -397,7 +396,9 @@ type shard struct {
 }
 
 // NewPipeline starts the shard, sink-worker and idle-flusher goroutines.
-// Close releases them.
+// sink is version 1's sink: it receives the batches of streams on
+// cfg.Factory (Swap publishes later versions with their own). Close
+// releases the goroutines.
 func NewPipeline(cfg Config, sink Sink) (*Pipeline, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -413,7 +414,6 @@ func NewPipeline(cfg Config, sink Sink) (*Pipeline, error) {
 	}
 	p := &Pipeline{
 		cfg:          cfg,
-		sink:         sink,
 		quarTTL:      cfg.Quarantine,
 		batchBytes:   cfg.BatchBytes,
 		batchIdle:    cfg.BatchIdle,
@@ -465,10 +465,10 @@ func NewPipeline(cfg Config, sink Sink) (*Pipeline, error) {
 	p.sbPool.New = func() any { return new(shardBatch) }
 	p.grpPool.New = func() any { return new(sinkGroup) }
 
-	// Version 1 is the construction-time factory; SwapFactory publishes
+	// Version 1 is the construction-time factory and sink; Swap publishes
 	// successors.
 	p.nextVerID = 1
-	p.curVer = &factoryVersion{id: 1, factory: cfg.Factory}
+	p.curVer = &factoryVersion{id: 1, factory: cfg.Factory, sink: sink}
 	p.liveVers = map[int]*factoryVersion{1: p.curVer}
 
 	workers := cfg.SinkWorkers
@@ -732,8 +732,9 @@ func (p *Pipeline) shardFor(key string) int {
 
 // Close flushes the pending dispatch batches and every open stream
 // (delivering its EOS batch), stops the shards and the sink workers,
-// closes the Sink, and returns the first Sink error. A second Close fails
-// with ErrClosed.
+// closes the current version's Sink, and returns the first Sink error:
+// the permanent delivery failure, else the first Close error of any
+// version. A second Close fails with ErrClosed.
 func (p *Pipeline) Close() error {
 	p.stateMu.Lock()
 	if p.closed {
@@ -761,12 +762,16 @@ func (p *Pipeline) Close() error {
 	}
 	p.sinkWG.Wait()
 
-	cerr := p.sink.Close()
-	err := p.Err()
-	if err == nil {
-		err = cerr
+	// Every stream has ended, so every superseded version has retired and
+	// closed its sink; only the current version's is still open (and no
+	// Swap can replace it any more).
+	p.closeSink(p.curVer)
+	p.errMu.Lock()
+	defer p.errMu.Unlock()
+	if p.sinkErr != nil {
+		return p.sinkErr
 	}
-	return err
+	return p.closeErr
 }
 
 // getBuf checks an arena out of the pool. The memory gauge tracks
@@ -1092,14 +1097,14 @@ func (s *shard) process(key string, data []byte, eos bool, g *sinkGroup) {
 			s.evictOldest(g)
 		}
 		// The stream binds the factory version current at creation and
-		// keeps it for life; a concurrent SwapFactory only affects
-		// streams created after it.
+		// keeps it for life; a concurrent Swap only affects streams
+		// created after it. A failed factory still holds the binding until
+		// its error batch is out, like any other final batch.
 		ver := s.p.acquireVersion()
 		b, err := ver.factory(s.id, s.p.cfg.Hooks)
 		if err != nil {
-			s.p.releaseVersion(ver)
 			s.poison(key)
-			s.append(g, &Batch{Key: key, Shard: s.id, EOS: true, Err: err, Version: ver.id})
+			s.append(g, &Batch{Key: key, Shard: s.id, EOS: true, Err: err, Version: ver.id, ver: ver})
 			return
 		}
 		e = &streamEntry{key: key, b: b, rec: asMatchRecycler(b), ver: ver}
@@ -1109,7 +1114,7 @@ func (s *shard) process(key string, data []byte, eos bool, g *sinkGroup) {
 		s.lru.MoveToFront(e.el)
 	}
 
-	batch := &Batch{Key: key, Shard: s.id, Data: data, EOS: eos, Version: e.ver.id}
+	batch := &Batch{Key: key, Shard: s.id, Data: data, EOS: eos, Version: e.ver.id, ver: e.ver}
 	if len(data) > 0 {
 		batch.Err = s.guardTimed(key, "Feed", func() error { return e.b.Feed(data) })
 	}
@@ -1120,7 +1125,6 @@ func (s *shard) process(key string, data []byte, eos bool, g *sinkGroup) {
 		// EOS. Matches confirmed before the fault are still drained (best
 		// effort).
 		batch.EOS = true
-		batch.ver = e.ver
 		s.drain(e, batch)
 		s.guard("Close", e.b.Close)
 		s.fold(e)
@@ -1134,7 +1138,6 @@ func (s *shard) process(key string, data []byte, eos bool, g *sinkGroup) {
 			batch.Err = cerr
 		}
 		s.remove(e)
-		batch.ver = e.ver
 		if batch.Err != nil && (errors.Is(batch.Err, ErrResourceExhausted) || errors.Is(batch.Err, ErrBackendStalled)) {
 			// Whole-stream backends (parser, earley) trip budgets — and
 			// stall — at Close; quarantine the key like a Feed fault so
@@ -1150,7 +1153,6 @@ func (s *shard) process(key string, data []byte, eos bool, g *sinkGroup) {
 			// A panic while draining matches poisons the stream just
 			// like a Feed fault.
 			batch.EOS = true
-			batch.ver = e.ver
 			s.remove(e)
 			s.poison(key)
 		}
@@ -1207,14 +1209,13 @@ func (p *Pipeline) sinkWorker(ch chan *sinkGroup, worker int, seed int64) {
 				p.deliver(b, rng, br)
 			}
 			p.putMatchBuf(b.Tags)
-			if b.ver != nil {
+			if b.EOS {
 				// The stream's final batch is out (delivered,
 				// dead-lettered, or dropped on a failed sink): release its
-				// factory-version binding, possibly retiring the version.
-				// Never earlier — per-version resources must outlive every
-				// batch that references them.
+				// factory-version binding, possibly retiring the version
+				// and closing its sink. Never earlier — per-version
+				// resources must outlive every batch that references them.
 				p.releaseVersion(b.ver)
-				b.ver = nil
 			}
 		}
 		p.putBuf(g.arena)
@@ -1322,7 +1323,7 @@ func (p *Pipeline) deliverOnce(b *Batch) (err error) {
 			err = fmt.Errorf("%w: %v", ErrSinkPanic, r)
 		}
 	}()
-	return p.sink.Deliver(b)
+	return b.ver.sink.Deliver(b)
 }
 
 // backoff computes the sleep before the retry-th retry: exponential from

@@ -134,10 +134,6 @@ func (r *Registry) Add(t Tenant, sink Sink) error {
 		cfg.Mem = &MemGauge{}
 	}
 	ts.mem = cfg.Mem
-	var s Sink = sink
-	if ts.live != nil {
-		s = &tenantSink{ts: ts, inner: sink}
-	}
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -147,7 +143,7 @@ func (r *Registry) Add(t Tenant, sink Sink) error {
 	if _, ok := r.tenants[t.Name]; ok {
 		return fmt.Errorf("%w: %q", ErrTenantExists, t.Name)
 	}
-	p, err := NewPipeline(cfg, s)
+	p, err := NewPipeline(cfg, ts.sink(sink))
 	if err != nil {
 		return err
 	}
@@ -230,16 +226,17 @@ func (r *Registry) CloseStream(tenant, key string) error {
 	return ts.p.CloseStream(key)
 }
 
-// Swap publishes a new backend factory for the tenant — a zero-downtime
-// grammar reload. New streams bind the new version; live streams drain on
-// the old one, which is retired (EventVersionRetired) when its last
-// stream's final batch is delivered.
-func (r *Registry) Swap(tenant string, f Factory) (int, error) {
+// Swap publishes a new backend factory for the tenant, with the sink its
+// streams deliver to — a zero-downtime grammar reload (see
+// Pipeline.Swap). New streams bind the new version; live streams drain on
+// the old one, which is retired (EventVersionRetired, its sink closed)
+// when its last stream's final batch is delivered.
+func (r *Registry) Swap(tenant string, f Factory, s Sink) (int, error) {
 	ts, err := r.state(tenant)
 	if err != nil {
 		return 0, err
 	}
-	return ts.p.SwapFactory(f)
+	return ts.p.Swap(f, ts.sink(s))
 }
 
 // Pipeline exposes the tenant's pipeline for advanced use (version
@@ -340,6 +337,15 @@ func (ts *tenantState) admit(key string) (added bool, err error) {
 	}
 	ts.live[key] = struct{}{}
 	return true, nil
+}
+
+// sink wraps one version's sink with the MaxStreams slot release when the
+// tenant tracks live streams.
+func (ts *tenantState) sink(s Sink) Sink {
+	if ts.live == nil || s == nil {
+		return s
+	}
+	return &tenantSink{ts: ts, inner: s}
 }
 
 // release forgets a live stream key (idempotent).

@@ -195,7 +195,7 @@ func TestRegistrySwapAndRemove(t *testing.T) {
 	if err := r.Add(Tenant{Name: "t", Config: Config{Shards: 2, Factory: DFAFactory(specA, 0)}}, sink); err != nil {
 		t.Fatal(err)
 	}
-	v, err := r.Swap("t", DFAFactory(specB, 0))
+	v, err := r.Swap("t", DFAFactory(specB, 0), sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestRegistrySwapAndRemove(t *testing.T) {
 	if got := p.CurrentVersion(); got != 2 {
 		t.Fatalf("CurrentVersion = %d, want 2", got)
 	}
-	if _, err := r.Swap("nope", fakeFactory); !errors.Is(err, ErrUnknownTenant) {
+	if _, err := r.Swap("nope", fakeFactory, sink); !errors.Is(err, ErrUnknownTenant) {
 		t.Fatalf("Swap on unknown tenant: %v", err)
 	}
 	if err := r.Remove("t"); err != nil {

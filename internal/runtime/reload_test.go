@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -71,7 +72,8 @@ func TestSwapFactoryBasics(t *testing.T) {
 		retired = append(retired, e.Version)
 		retMu.Unlock()
 	}}
-	p, err := NewPipeline(Config{Shards: 2, Factory: fakeFactory, Hooks: hooks}, SinkFunc(func(*Batch) error { return nil }))
+	nop := SinkFunc(func(*Batch) error { return nil })
+	p, err := NewPipeline(Config{Shards: 2, Factory: fakeFactory, Hooks: hooks}, nop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +83,14 @@ func TestSwapFactoryBasics(t *testing.T) {
 	if got := p.LiveVersions(); !reflect.DeepEqual(got, []int{1}) {
 		t.Fatalf("LiveVersions = %v, want [1]", got)
 	}
-	if _, err := p.SwapFactory(nil); err == nil {
-		t.Fatal("SwapFactory(nil) succeeded")
+	if _, err := p.Swap(nil, nop); err == nil {
+		t.Fatal("Swap(nil, sink) succeeded")
+	}
+	if _, err := p.Swap(fakeFactory, nil); err == nil {
+		t.Fatal("Swap(factory, nil) succeeded")
 	}
 	// No live streams: the swap retires version 1 immediately.
-	v, err := p.SwapFactory(fakeFactory)
+	v, err := p.Swap(fakeFactory, nop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,13 +109,13 @@ func TestSwapFactoryBasics(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.SwapFactory(fakeFactory); !errors.Is(err, ErrClosed) {
-		t.Fatalf("SwapFactory after Close: %v, want ErrClosed", err)
+	if _, err := p.Swap(fakeFactory, nop); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Swap after Close: %v, want ErrClosed", err)
 	}
 }
 
 // TestReloadSoak is the zero-downtime proof: ≥100 live streams on the old
-// grammar, a SwapFactory to a new grammar mid-run, a second wave of
+// grammar, a Swap to a new grammar mid-run, a second wave of
 // streams on the new version — every stream must come out byte-identical
 // to its serial oracle on the version it bound, with zero dropped or
 // reordered batches, and the old version must retire once its last stream
@@ -180,7 +185,7 @@ func TestReloadSoak(t *testing.T) {
 	}
 
 	// Phase 2: hot-swap the grammar while every old stream is mid-flight.
-	v2, err := p.SwapFactory(DFAFactory(specB, 0))
+	v2, err := p.Swap(DFAFactory(specB, 0), sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,5 +395,186 @@ func TestSharedCacheAcrossPipelineStreams(t *testing.T) {
 	if fleet != solo {
 		t.Errorf("64 streams filled %d transitions, 1 stream fills %d (want equal: O(1) in stream count)",
 			fleet, solo)
+	}
+}
+
+// versionSink is one factory version's sink in TestSwapSinkPerVersion. It
+// records the streams it served and every breach of the per-version sink
+// contract. With gate set, Deliver of the gated key's error batch first
+// signals entered and then waits for gate to close.
+type versionSink struct {
+	id      int
+	gateKey string
+	gate    chan struct{}
+	entered chan struct{}
+
+	mu       sync.Mutex
+	keys     map[string]bool
+	batches  int
+	closes   int
+	late     int   // Deliver calls after Close
+	wrongVer []int // b.Version values other than id
+}
+
+func newVersionSink(id int) *versionSink {
+	return &versionSink{id: id, keys: make(map[string]bool)}
+}
+
+func (s *versionSink) Deliver(b *Batch) error {
+	if s.gate != nil && b.Key == s.gateKey && b.Err != nil {
+		s.entered <- struct{}{}
+		<-s.gate
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closes > 0 {
+		s.late++
+	}
+	if b.Version != s.id {
+		s.wrongVer = append(s.wrongVer, b.Version)
+	}
+	s.keys[b.Key] = true
+	s.batches++
+	return nil
+}
+
+func (s *versionSink) Close() error {
+	s.mu.Lock()
+	s.closes++
+	s.mu.Unlock()
+	return nil
+}
+
+func (s *versionSink) closeCount() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.closes
+}
+
+// TestSwapSinkPerVersion pins the per-version sink contract: while streams
+// start concurrently with several Swaps, every batch lands in the sink
+// published with the version that tagged it, a stream's batches never
+// span two sinks, and each version's sink is closed exactly once with no
+// Deliver after it — for retired versions, for the version still current
+// at Close, and for a version whose factory-error batch was still in
+// flight when it was superseded.
+func TestSwapSinkPerVersion(t *testing.T) {
+	var calls atomic.Int64
+	// Every seventh backend fails to build, spreading factory-error EOS
+	// batches across the versions.
+	flaky := func(shard int, h *Hooks) (Backend, error) {
+		if calls.Add(1)%7 == 0 {
+			return nil, errors.New("factory down")
+		}
+		return fakeFactory(shard, h)
+	}
+	sinks := []*versionSink{newVersionSink(1)}
+	p, err := NewPipeline(Config{Shards: 4, SinkWorkers: 2, Factory: flaky, BatchBytes: 256}, sinks[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					if i > 0 {
+						return
+					}
+				default:
+				}
+				k := fmt.Sprintf("w%d-s%d", w, i)
+				for c := 0; c < 3; c++ {
+					if err := p.Send(k, []byte("chunk of a stream ")); err != nil && !errors.Is(err, ErrQuarantined) {
+						t.Error(err)
+						return
+					}
+				}
+				if err := p.CloseStream(k); err != nil && !errors.Is(err, ErrQuarantined) {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	for i := 0; i < 6; i++ {
+		time.Sleep(2 * time.Millisecond)
+		s := newVersionSink(len(sinks) + 1)
+		v, err := p.Swap(flaky, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v != s.id {
+			t.Fatalf("Swap returned version %d, want %d", v, s.id)
+		}
+		sinks = append(sinks, s)
+	}
+	close(done)
+	wg.Wait()
+
+	// A factory-error batch holds its version until it is delivered: the
+	// version superseded while that batch is still in Deliver must not be
+	// closed before the batch is out.
+	failing := newVersionSink(len(sinks) + 1)
+	failing.gateKey = "doomed"
+	failing.gate = make(chan struct{})
+	failing.entered = make(chan struct{}, 1)
+	if _, err := p.Swap(func(int, *Hooks) (Backend, error) { return nil, errors.New("factory down") }, failing); err != nil {
+		t.Fatal(err)
+	}
+	sinks = append(sinks, failing)
+	if err := p.Send("doomed", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-failing.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("factory-error batch never reached its sink")
+	}
+	last := newVersionSink(len(sinks) + 1)
+	if _, err := p.Swap(fakeFactory, last); err != nil {
+		t.Fatal(err)
+	}
+	sinks = append(sinks, last)
+	if n := failing.closeCount(); n != 0 {
+		t.Errorf("superseded version %d closed %d times while its factory-error batch was in flight", failing.id, n)
+	}
+	close(failing.gate)
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	owner := make(map[string]int)
+	served := 0
+	for _, s := range sinks {
+		if s.closes != 1 {
+			t.Errorf("version %d sink closed %d times, want 1", s.id, s.closes)
+		}
+		if s.late != 0 {
+			t.Errorf("version %d sink got %d Deliver calls after Close", s.id, s.late)
+		}
+		if len(s.wrongVer) != 0 {
+			t.Errorf("version %d sink got batches stamped %v", s.id, s.wrongVer)
+		}
+		for k := range s.keys {
+			if prev, ok := owner[k]; ok {
+				t.Errorf("stream %s delivered to versions %d and %d", k, prev, s.id)
+			}
+			owner[k] = s.id
+		}
+		if s.batches > 0 && s.id > 1 {
+			served++
+		}
+	}
+	if served < 2 {
+		t.Fatalf("only %d swapped-in versions received batches; the swaps did not overlap live traffic", served)
+	}
+	if !failing.keys["doomed"] {
+		t.Fatal("factory-error batch was not delivered to its version's sink")
 	}
 }

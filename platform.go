@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cfgtag/internal/runtime"
@@ -296,23 +297,19 @@ func (t *TenantDef) grammarSource() (string, error) {
 	return string(b), nil
 }
 
-// platformTenant is one tenant's decode state: the engine of every live
-// factory version (batches carry their version, so a batch tagged by the
-// old grammar decodes with the old engine throughout a reload), the
-// tenant's declarative definition, and the reload serialization lock.
+// platformTenant is one running tenant: its declarative definition, what
+// every factory version of it is built with, and the current version's
+// aot report. Which engine decodes a batch is the runtime's business: each
+// version is published with its own sink (see version).
 type platformTenant struct {
-	def  TenantDef
-	kind BackendKind
-	lim  StreamLimits // resolved limits, shared by every factory version
+	def     TenantDef
+	kind    BackendKind
+	lim     StreamLimits // resolved limits, shared by every factory version
+	wrap    func(runtime.Factory) runtime.Factory
+	deliver func(*TagBatch) error // the platform callback bound to this tenant
 
 	reloadMu sync.Mutex // serializes Reload per tenant
-
-	mu       sync.RWMutex
-	engines  map[int]*Engine
-	releases map[int]func() // per-version Built.Release
-	pending  *Engine        // compiled but not yet bound to a version id
-	current  *Engine        // the newest engine (Reload target)
-	compile  CompileStats   // the current version's AOT synthesis report
+	compile  atomic.Pointer[CompileStats]
 }
 
 // limits resolves the declarative limits plus the tenant's memory gauge.
@@ -326,39 +323,24 @@ func (t *TenantDef) limits(mem *MemGauge) StreamLimits {
 	}
 }
 
-// engineFor resolves the engine for a batch's factory version. A version
-// published by an in-flight Reload may deliver its first batch before
-// Reload learns the version id; the pending engine covers that window.
-func (pt *platformTenant) engineFor(ver int) *Engine {
-	pt.mu.RLock()
-	e := pt.engines[ver]
-	pending := pt.pending
-	cur := pt.current
-	pt.mu.RUnlock()
-	if e != nil {
-		return e
+// version compiles src into one factory version of the tenant: the
+// (wrapped) backend factory, and the sink that decodes the version's
+// batches with the same engine and discharges the version's memory charge
+// when the pipeline closes it.
+func (pt *platformTenant) version(src string) (runtime.Factory, runtime.Sink, *CompileStats, error) {
+	engine, err := Compile(pt.def.Name, src, pt.def.options()...)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("cfgtag: tenant %q: %w", pt.def.Name, err)
 	}
-	if pending != nil {
-		pt.mu.Lock()
-		pt.engines[ver] = pending
-		pt.mu.Unlock()
-		return pending
+	built, err := runtime.Build(pt.kind, engine.spec, runtime.BuildOptions{Limits: pt.lim})
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("cfgtag: tenant %q: %w", pt.def.Name, err)
 	}
-	return cur
-}
-
-// dropVersion forgets a retired version's engine and discharges its
-// memory-gauge charge — the resource-cleanup counterpart of the runtime's
-// version retirement.
-func (pt *platformTenant) dropVersion(ver int) {
-	pt.mu.Lock()
-	delete(pt.engines, ver)
-	release := pt.releases[ver]
-	delete(pt.releases, ver)
-	pt.mu.Unlock()
-	if release != nil {
-		release()
+	factory := built.Factory
+	if pt.wrap != nil {
+		factory = pt.wrap(factory)
 	}
+	return factory, engineSink{e: engine, deliver: pt.deliver, release: built.Release}, &built.Stats, nil
 }
 
 // Platform is the config-driven multi-tenant runtime: one isolated
@@ -366,8 +348,7 @@ func (pt *platformTenant) dropVersion(ver int) {
 // zero-downtime grammar reloads, and per-tenant metrics and quotas. All
 // methods are safe for concurrent use.
 type Platform struct {
-	reg  *runtime.Registry
-	wrap func(runtime.Factory) runtime.Factory
+	reg *runtime.Registry
 
 	mu      sync.RWMutex
 	closed  bool
@@ -385,10 +366,9 @@ func NewPlatform(cfg *PlatformConfig, deliver func(tenant string, b *TagBatch) e
 	if deliver == nil {
 		return nil, fmt.Errorf("cfgtag: NewPlatform: deliver is required")
 	}
-	p := &Platform{reg: runtime.NewRegistry(), wrap: cfg.WrapFactory, tenants: make(map[string]*platformTenant)}
+	p := &Platform{reg: runtime.NewRegistry(), tenants: make(map[string]*platformTenant)}
 	for i := range cfg.Tenants {
-		def := cfg.Tenants[i]
-		if err := p.addTenant(def, deliver); err != nil {
+		if err := p.addTenant(cfg.Tenants[i], cfg.WrapFactory, deliver); err != nil {
 			p.reg.Close()
 			return nil, err
 		}
@@ -396,45 +376,30 @@ func NewPlatform(cfg *PlatformConfig, deliver func(tenant string, b *TagBatch) e
 	return p, nil
 }
 
-func (p *Platform) addTenant(def TenantDef, deliver func(string, *TagBatch) error) error {
+func (p *Platform) addTenant(def TenantDef, wrap func(runtime.Factory) runtime.Factory, deliver func(string, *TagBatch) error) error {
 	src, err := def.grammarSource()
 	if err != nil {
 		return err
 	}
-	engine, err := Compile(def.Name, src, def.options()...)
-	if err != nil {
-		return fmt.Errorf("cfgtag: tenant %q: %w", def.Name, err)
-	}
-	kind := BackendKind(def.Backend)
 	// One gauge per tenant, shared by the factory (stream buffers, DFA
 	// cache, charts), the pipeline (arenas) and the quota check at Send.
 	var mem *MemGauge
 	if def.Quota.MemBudgetBytes > 0 {
 		mem = &MemGauge{}
 	}
-	lim := def.limits(mem)
-	built, err := runtime.Build(kind, engine.spec, runtime.BuildOptions{Limits: lim})
-	if err != nil {
-		return fmt.Errorf("cfgtag: tenant %q: %w", def.Name, err)
-	}
-	factory := built.Factory
-	if p.wrap != nil {
-		factory = p.wrap(factory)
-	}
-	pt := &platformTenant{
-		def:      def,
-		kind:     kind,
-		lim:      lim,
-		engines:  map[int]*Engine{1: engine},
-		releases: map[int]func(){1: built.Release},
-		current:  engine,
-		compile:  built.Stats,
-	}
 	name := def.Name
-	tenantDeliver := func(tb *TagBatch) error { return deliver(name, tb) }
-	sink := runtime.SinkFunc(func(b *runtime.Batch) error {
-		return pt.engineFor(b.Version).deliverBatch(b, tenantDeliver)
-	})
+	pt := &platformTenant{
+		def:     def,
+		kind:    BackendKind(def.Backend),
+		lim:     def.limits(mem),
+		wrap:    wrap,
+		deliver: func(tb *TagBatch) error { return deliver(name, tb) },
+	}
+	factory, sink, stats, err := pt.version(src)
+	if err != nil {
+		return err
+	}
+	pt.compile.Store(stats)
 	tenant := runtime.Tenant{
 		Name: name,
 		Config: runtime.Config{
@@ -451,11 +416,6 @@ func (p *Platform) addTenant(def TenantDef, deliver func(string, *TagBatch) erro
 			ShedHighWater: def.ShedHighWater,
 			FeedDeadline:  time.Duration(def.FeedDeadline),
 			Mem:           mem,
-			Hooks: &runtime.Hooks{Event: func(e runtime.Event) {
-				if e.Kind == runtime.EventVersionRetired {
-					pt.dropVersion(e.Version)
-				}
-			}},
 		},
 		Quota: runtime.Quota{
 			MaxStreams:     def.Quota.MaxStreams,
@@ -464,7 +424,7 @@ func (p *Platform) addTenant(def TenantDef, deliver func(string, *TagBatch) erro
 		},
 	}
 	if err := p.reg.Add(tenant, sink); err != nil {
-		built.Release()
+		sink.Close()
 		return err
 	}
 	p.mu.Lock()
@@ -527,37 +487,16 @@ func (p *Platform) Reload(tenant, grammarSrc string) (int, error) {
 	}
 	pt.reloadMu.Lock()
 	defer pt.reloadMu.Unlock()
-	engine, err := Compile(tenant, grammarSrc, pt.def.options()...)
+	factory, sink, stats, err := pt.version(grammarSrc)
 	if err != nil {
-		return 0, fmt.Errorf("cfgtag: tenant %q: %w", tenant, err)
-	}
-	built, err := runtime.Build(pt.kind, engine.spec, runtime.BuildOptions{Limits: pt.lim})
-	if err != nil {
-		return 0, fmt.Errorf("cfgtag: tenant %q: %w", tenant, err)
-	}
-	factory := built.Factory
-	if p.wrap != nil {
-		factory = p.wrap(factory)
-	}
-	// Publish the engine before the factory: the new version's first
-	// batch may reach the sink before Swap returns its id.
-	pt.mu.Lock()
-	pt.pending = engine
-	pt.mu.Unlock()
-	v, err := p.reg.Swap(tenant, factory)
-	pt.mu.Lock()
-	if err == nil {
-		pt.engines[v] = engine
-		pt.releases[v] = built.Release
-		pt.current = engine
-		pt.compile = built.Stats
-	}
-	pt.pending = nil
-	pt.mu.Unlock()
-	if err != nil {
-		built.Release()
 		return 0, err
 	}
+	v, err := p.reg.Swap(tenant, factory, sink)
+	if err != nil {
+		sink.Close()
+		return 0, err
+	}
+	pt.compile.Store(stats)
 	return v, nil
 }
 
@@ -601,9 +540,7 @@ func (p *Platform) CompileStats(tenant string) (CompileStats, error) {
 	if err != nil {
 		return CompileStats{}, err
 	}
-	pt.mu.RLock()
-	defer pt.mu.RUnlock()
-	return pt.compile, nil
+	return *pt.compile.Load(), nil
 }
 
 // LiveStreams reports the tenant's admitted live-stream count (tracked

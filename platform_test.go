@@ -604,3 +604,43 @@ func TestPlatformCompileStatsPerVersion(t *testing.T) {
 		t.Fatalf("unknown tenant: %v, want ErrUnknownTenant", err)
 	}
 }
+
+// TestPlatformCloseReleasesMem checks that a budgeted tenant hands its
+// whole memory charge back by the end of Close, on every execution path:
+// the version retired by a Reload, and the version still current at Close
+// (the dfa transition cache and aot tables charged when it was built).
+func TestPlatformCloseReleasesMem(t *testing.T) {
+	input := []byte("<methodCall> <methodName>buy</methodName> <params> </params> </methodCall>")
+	for _, kind := range []BackendKind{StreamBackend, DFABackend, AOTBackend, GatesBackend, ParserBackend, EarleyBackend} {
+		t.Run(string(kind), func(t *testing.T) {
+			pc := &PlatformConfig{Tenants: []TenantDef{{
+				Name: "t", Grammar: XMLRPCSource, Backend: string(kind), Shards: 2,
+				Quota: QuotaConfig{MemBudgetBytes: 64 << 20},
+			}}}
+			sink := newPlatformSink()
+			p, err := NewPlatform(pc, sink.deliver)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gauge := p.tenants["t"].lim.Mem
+			if err := p.Send("t", "s", input); err != nil {
+				t.Fatal(err)
+			}
+			if err := p.CloseStream("t", "s"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p.Reload("t", XMLRPCSource); err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if len(sink.tagsFor("t", "s")) == 0 {
+				t.Fatal("conforming stream produced no tags")
+			}
+			if got := gauge.Load(); got != 0 {
+				t.Errorf("tenant gauge after Close = %d, want 0", got)
+			}
+		})
+	}
+}
